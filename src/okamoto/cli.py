@@ -24,12 +24,6 @@ from .differentiability import (
 )
 from .errors import DomainError, OkamotoError, PrecisionError
 from .function import Parameter, eval_digit_series, sample_graph
-from .geometry import (
-    arc_length_profile,
-    chaos_game,
-    cover_profile,
-    dimension_estimate,
-)
 from .ternary import TernaryExpansion, to_ternary
 
 
@@ -52,7 +46,10 @@ def _parse_x(text: str, a: Parameter, digits: int) -> TernaryExpansion:
     """x as a decimal in [0,1] or an exact fraction p/q."""
     text = text.strip()
     if "/" in text:
-        frac = Fraction(text)
+        try:
+            frac = Fraction(text)
+        except ZeroDivisionError:
+            raise DomainError(f"x = {text} has a zero denominator") from None
         if not 0 <= frac <= 1:
             raise DomainError(f"x = {text} outside [0, 1]")
         # exact expansion; 3-smooth denominators terminate on their own
@@ -125,6 +122,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from .geometry import cover_profile, dimension_estimate
+
     a = Parameter.parse(args.a, exact=args.exact)
     lo, hi = _parse_levels(args.levels)
     est = dimension_estimate(a, lo, hi, method=args.method)
@@ -143,6 +142,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_arclength(args) -> int:
+    from .geometry import arc_length_profile
+
     a = Parameter.parse(args.a, exact=args.exact)
     lo, hi = _parse_levels(args.levels)
     prof = arc_length_profile(a, hi)
@@ -200,6 +201,8 @@ def cmd_a0(args) -> int:
 
 
 def cmd_chaos(args) -> int:
+    from .geometry import chaos_game
+
     a = Parameter.parse(args.a, exact=args.exact)
     sample = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed)
     if args.format == "svg":

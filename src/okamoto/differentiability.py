@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, PrecisionError, UnsupportedRegionError
 from .function import Parameter
 from .ternary import DigitStats, TernaryExpansion, digit_stats
@@ -241,10 +239,12 @@ def nondiff_points(a: Parameter, i: int) -> list:
     )
 
 
-def _stream_rng(seed: int, index: int) -> np.random.Generator:
+def _stream_rng(seed: int, index: int) -> "numpy.random.Generator":
     """Per-sample generator derived from (seed, index): reproducible and
 
     independent of how samples are distributed across workers."""
+    import numpy as np
+
     return np.random.default_rng([seed, index])
 
 
@@ -267,6 +267,8 @@ def digit_frequency_experiment(
     """
     if samples < 1 or n < 1:
         raise DomainError("samples and n must be >= 1")
+    import numpy as np
+
     ratios = np.empty(samples)
     for idx in range(samples):
         if digits_fn is not None:

@@ -7,16 +7,18 @@ Three equivalent views of the same object:
   * the iterated function system of three plane contractions whose unique
     invariant set is the graph of F_a.
 
-Everything runs in one of two arithmetic modes: exact rationals (Fraction)
-or floats (numpy for bulk vertex work).
+Everything runs in one of two arithmetic modes: exact rationals or floats.
+The exact digit series runs on integers scaled by powers of q for a = p/q;
+numpy is imported only by the float construction, for bulk vertex work.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
 from .ternary import TernaryExpansion
@@ -52,12 +54,37 @@ class Parameter:
             return self.value == Fraction(p, q)
         return self.value == p / q
 
+    @cached_property
+    def _series(self) -> tuple:
+        """Digit-series coefficients (q, O, M, tail_num, tail_den) of this a.
+
+        For a = p/q the digit maps are o(d) = O[d]/q and m(d) = M[d]/q with
+        O = (0, p, q-p) and M = (p, q-2p, p), so after n digits every partial
+        sum and product is an integer over q^n.  The tail coefficient
+        max(a, 1-a) / (1 - max(a, |1-2a|)) is tail_num / tail_den.  A float
+        a uses q = 1, its own offsets and slopes, and tail_den = 1.
+        """
+        if self.mode == "exact":
+            p, q = self.value.numerator, self.value.denominator
+            return q, (0, p, q - p), (p, q - 2 * p, p), max(p, q - p), q - max(p, abs(q - 2 * p))
+        av = self.value
+        margin = 1 - max(av, abs(1 - 2 * av))
+        if margin == 0:
+            raise PrecisionError(
+                f"float a = {self} leaves 1 - max(a, |1-2a|) = 0, so no digit series "
+                "can be certified; give a as an exact fraction p/q"
+            )
+        return 1, (0.0, av, 1 - av), (av, 1 - 2 * av, av), max(av, 1 - av) / margin, 1
+
     @classmethod
     def parse(cls, text: str, exact: bool = False) -> "Parameter":
         """Parse 'p/q' (always exact) or a decimal (exact only on request)."""
         text = text.strip()
         if "/" in text or exact:
-            return cls(Fraction(text))
+            try:
+                return cls(Fraction(text))
+            except ZeroDivisionError:
+                raise DomainError(f"parameter a = {text} has a zero denominator") from None
         return cls(float(text))
 
     def __str__(self) -> str:
@@ -109,6 +136,8 @@ def level_zero(a: Parameter) -> IterationGraph:
     """f_0 is the identity: vertices [0, 1]."""
     if a.mode == "exact":
         return IterationGraph(0, [Fraction(0), Fraction(1)], a)
+    import numpy as np
+
     return IterationGraph(0, np.array([0.0, 1.0]), a)
 
 
@@ -121,6 +150,8 @@ def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     if a != g.a:
         raise DomainError("refine called with a different parameter than the graph's")
     if a.mode == "float":
+        import numpy as np
+
         v = np.asarray(g.vertices, dtype=float)
         af = a.as_float()
         d = np.diff(v)
@@ -168,17 +199,26 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
     digits is bounded by |prod| * max(a,1-a) / (1 - max(a,|1-2a|)); the sum
     stops as soon as that certificate drops below tol.  Terminating
     expansions (and the all-2s expansion of 1) are evaluated exactly.
+
+    Exact mode keeps the sum V and product P as integers over S = q^n (see
+    Parameter._series) and builds Fractions only for the result; float mode
+    runs the same loop with q = S = 1.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
-    av = a.value
-    zero = av * 0
-    one = zero + 1
+    exact = a.mode == "exact"
+    frac = Fraction if exact else operator.truediv
     if x.is_one:
-        return EvalResult(one, zero, 0)
-    offsets = (zero, av, 1 - av)
-    mults = (av, 1 - 2 * av, av)
-    tail_coeff = max(av, 1 - av) / (1 - max(av, abs(1 - 2 * av)))
+        return EvalResult(frac(1, 1), frac(0, 1), 0)
+    q, offsets, mults, tail_num, tail_den = a._series
+    # the certificate |P|/S * tail_num/tail_den < tol, as |P| * c1 < c2 * S
+    if not exact:
+        c1, c2 = tail_num, tol
+    elif tol == math.inf:
+        c1, c2 = 0, 1
+    else:
+        t = Fraction(tol)
+        c1, c2 = tail_num * t.denominator, t.numerator * tail_den
     digits = x.digits
     if not x.is_truncation:
         # trailing zeros contribute nothing; stop at the last nonzero digit
@@ -187,25 +227,24 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
             if d:
                 last = p
         digits = digits[:last]
-    value = zero
-    prod = one
-    bound = abs(prod) * tail_coeff
+    V, P, S = 0, 1, 1
     used = 0
     for d in digits:
-        value += prod * offsets[d]
-        prod *= mults[d]
+        V = V * q + P * offsets[d]
+        P *= mults[d]
+        S *= q
         used += 1
-        bound = abs(prod) * tail_coeff
-        if prod == 0:
-            return EvalResult(value, zero, used)
-        if bound < tol:
-            return EvalResult(value, bound, used)
+        if not P:
+            return EvalResult(frac(V, S), frac(0, 1), used)
+        if abs(P) * c1 < c2 * S:
+            return EvalResult(frac(V, S), frac(abs(P) * tail_num, tail_den * S), used)
     if not x.is_truncation:
         # trailing zeros contribute nothing: the value is exact
-        return EvalResult(value, zero, used)
+        return EvalResult(frac(V, S), frac(0, 1), used)
+    bound = float(frac(abs(P) * tail_num, tail_den * S))
     raise PrecisionError(
-        f"{used} digits certify only {float(bound):.3g}, above tol {float(tol):.3g}",
-        achievable=float(bound),
+        f"{used} digits certify only {bound:.3g}, above tol {float(tol):.3g}",
+        achievable=bound,
     )
 
 

@@ -1,8 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import okamoto
 from okamoto.cli import main
+
+SRC = str(Path(okamoto.__file__).resolve().parents[1])
+
+
+def run_process(*args):
+    """A fresh interpreter that imports okamoto from this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 def run(capsys, *argv):
@@ -54,6 +69,40 @@ def test_eval_precision_exit_code(capsys):
     code, _, err = run(capsys, "eval", "--a", "0.9", "--x", "0.123456", "--digits", "3")
     assert code == 2
     assert "precision" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--a", "1e-300", "--x", "0.3"], 2),  # 1 - 2a rounds to 1 in float
+    (["--a", "1/0", "--x", "0.3"], 1),
+    (["--a", "3/5", "--x", "2/0"], 1),
+    (["--a", "3/5", "--x", "0.3", "--tol", "nan"], 1),
+])
+def test_eval_bad_input_exits_with_one_line(argv, code):
+    proc = run_process("-m", "okamoto.cli", "eval", *argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("okamoto: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_import_and_commands_leave_numpy_unloaded():
+    script = """
+import contextlib, io, sys
+import okamoto, okamoto.cli
+argvs = (["eval", "--a", "3/5", "--x", "1/7"], ["classify", "--a", "0.7"],
+         ["derivative", "--a", "1/3", "--x", "2/9", "--n", "12"])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [okamoto.cli.main(argv) for argv in argvs] == [0, 0, 0]
+assert "numpy" not in sys.modules, "numpy was imported"
+assert okamoto.chaos_game is okamoto.geometry.chaos_game
+names = {}
+exec("from okamoto import *", names)
+missing = set(okamoto.__all__) - set(names)
+assert not missing, missing
+assert {"geometry", "chaos_game", "square_grid_counts", "MassSample"} <= set(okamoto.__all__)
+"""
+    proc = run_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code(capsys):

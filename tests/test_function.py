@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from okamoto import (
     DomainError,
@@ -20,7 +23,7 @@ from okamoto import (
 from okamoto.function import level_zero
 from okamoto.ternary import TernaryExpansion
 
-from oracles import cantor_value, okamoto_recursive
+from oracles import cantor_value, okamoto_recursive, series_reference
 
 
 def exact(p, q):
@@ -180,6 +183,90 @@ def test_eval_cantor_matches_digit_oracle():
         e = to_ternary(x, 60)
         r = eval_digit_series(a, e, 1e-16)
         assert abs(r.value - float(cantor_value(e.digits))) < 1e-14
+
+
+def _outcome(fn):
+    """('ok', value, bound, digits) or ('precision', message, achievable), with
+
+    each number keyed by its type and, for floats, its exact bits."""
+    def key(v):
+        return (type(v).__name__, v.hex() if isinstance(v, float) else v)
+
+    try:
+        r = fn()
+    except PrecisionError as exc:
+        return ("precision", str(exc), exc.achievable)
+    except ValueError as exc:  # the reference's form of PrecisionError
+        return ("precision", *exc.args)
+    if isinstance(r, tuple):
+        return ("ok", key(r[0]), key(r[1]), r[2])
+    return ("ok", key(r.value), key(r.error_bound), r.digits_used)
+
+
+def _same_as_reference(av, x, tol):
+    got = _outcome(lambda: eval_digit_series(Parameter(av), x, tol))
+    assert got == _outcome(lambda: series_reference(av, x, tol))
+
+
+_a_fraction = st.integers(2, 10**4).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))
+_x = st.one_of(
+    st.builds(TernaryExpansion, st.lists(st.integers(0, 2), max_size=80).map(tuple), st.booleans()),
+    st.integers(0, 40).flatmap(
+        lambda i: st.builds(ternary_rational, st.integers(0, 3**i), st.just(i))),
+    st.just(ternary_rational(1, 0)),  # x = 1
+)
+_tol = st.one_of(
+    st.floats(1e-60, 10.0),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**60)),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_a_fraction, exact_mode=st.booleans(), x=_x, tol=_tol)
+@example(a=Fraction(1, 2), exact_mode=True, x=TernaryExpansion((0, 1, 2)), tol=1e-30)
+@example(a=Fraction(1, 2), exact_mode=False, x=TernaryExpansion((2, 1, 0)), tol=Fraction(1, 10**30))
+@example(a=Fraction(1, 3), exact_mode=True, x=TernaryExpansion((0, 0, 0)), tol=Fraction(1, 3))
+@example(a=Fraction(1, 2), exact_mode=False, x=TernaryExpansion((0, 0, 0)), tol=0.5)
+def test_eval_matches_series_reference(a, exact_mode, x, tol):
+    # a = 1/2 has m(1) = 0, which ends the series at the first 1-digit; at
+    # a = 1/3 (exact) and a = 0.5 (float) the first 0-digit leaves a bound
+    # equal to tol, which does not certify
+    _same_as_reference(a if exact_mode else a.numerator / a.denominator, x, tol)
+
+
+def test_eval_float_mode_bit_identical_to_reference():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        av = rng.uniform(1e-4, 1 - 1e-4)
+        n = rng.randrange(120)
+        x = TernaryExpansion(tuple(rng.randrange(3) for _ in range(n)), rng.random() < 0.5)
+        _same_as_reference(av, x, 10.0 ** rng.uniform(-40, 0))
+
+
+def test_eval_rejects_nan_tol():
+    for a in (exact(3, 5), Parameter(0.6)):
+        with pytest.raises(DomainError):
+            eval_digit_series(a, ternary_rational(4, 3), math.nan)
+
+
+def test_eval_infinite_tol_stops_after_one_digit():
+    for av in (Fraction(3, 5), 0.6):
+        for x in (TernaryExpansion((0, 2, 1)), ternary_rational(5, 3)):
+            _same_as_reference(av, x, math.inf)
+            assert eval_digit_series(Parameter(av), x, math.inf).digits_used == 1
+    # with no digits there is nothing to certify, whatever the tol
+    with pytest.raises(PrecisionError):
+        eval_digit_series(exact(3, 5), TernaryExpansion(()), math.inf)
+
+
+def test_eval_tiny_float_parameter_raises_precision_error():
+    # 1 - 2a rounds to 1: the float tail coefficient has no margin
+    with pytest.raises(PrecisionError, match="p/q"):
+        eval_digit_series(Parameter(1e-300), to_ternary(0.3, 40), 1e-12)
+    r = eval_digit_series(Parameter(Fraction(1, 10**300)), to_ternary(0.3, 40), 1e-12)
+    assert r.error_bound < Fraction(1, 10**12)
 
 
 def test_ifs_maps_values():
