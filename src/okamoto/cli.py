@@ -240,8 +240,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--a", required=True, help="parameter a: decimal or p/q")
         sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker count; output is independent of it")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 
@@ -295,7 +293,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--digits", type=int, default=3000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_experiment)
 

@@ -136,7 +136,7 @@ def find_a0(tol: float) -> float:
 
     The bracket is shrunk until its width is <= tol; g(1/2) = -1 < 0 and
     g(2/3) = 3 > 0 guarantee the root is inside throughout."""
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     lo, hi = 0.5, 2 / 3
     while hi - lo > tol:

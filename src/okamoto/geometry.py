@@ -2,10 +2,15 @@
 
 dimension regression, and the weighted chaos game with its mass-bound check.
 
-The level-i polyline has 3^i affine pieces of width 3^-i; its total
-variation drives both the arc-length bounds (finite iff a <= 1/2) and the
-column-cover area A_i = TV_i * 3^-i whose box count N_i = A_i / delta^2
-obeys the closed form (12a-3)^i for a > 1/2.
+Everything except the square grid and the chaos game comes from
+self-affinity, in O(i) work per level.  Each of the 3^i pieces of the
+level-i polyline is an affine copy of the whole graph over a column of width
+3^-i, and its slope magnitude is a^k |1-2a|^(i-k) with multiplicity
+C(i,k) 2^k.  So the total variation is TV_i = (2a+|1-2a|)^i, which decides
+the arc-length bounds (finite iff a <= 1/2), and the column-cover area is
+A_i = TV_i * 3^-i, whose box count N_i = A_i / delta^2 is (12a-3)^i for
+a > 1/2.  Since F_a([0,1]) = [0,1], F_a ranges over each column exactly
+between the column's two endpoint values, which is all the square grid reads.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError
-from .function import DEFAULT_LEVEL_CAP, Parameter, construct_iteration, refine, level_zero
+from .function import DEFAULT_LEVEL_CAP, Parameter, construct_iteration
 
 SQRT2 = math.sqrt(2.0)
 
@@ -76,78 +81,75 @@ class MassBoundReport:
     max_ratio: float
 
 
-def _per_level_geometry(a: Parameter, i_max: int, level_cap: int):
-    """Yield (level, float vertex array) for levels 0..i_max incrementally."""
+def _total_variation(a: Parameter, i_max: int, level_cap: int):
+    """Levels 0..i_max, slope magnitudes s = a and r = |1-2a|, and TV_i = (2s+r)^i."""
     if i_max < 0:
         raise DomainError("i_max must be >= 0")
     if i_max > level_cap:
         raise ResourceError(f"level {i_max} exceeds cap {level_cap}")
-    fa = Parameter(a.as_float())
-    g = level_zero(fa)
-    yield 0, np.asarray(g.vertices, dtype=float)
-    for i in range(1, i_max + 1):
-        g = refine(g, fa)
-        yield i, np.asarray(g.vertices)
+    s = a.as_float()
+    r = abs(1 - 2 * s)
+    levels = tuple(range(i_max + 1))
+    return levels, s, r, tuple((2 * s + r) ** i for i in levels)
 
 
 def arc_length_profile(
     a: Parameter, i_max: int, level_cap: int = DEFAULT_LEVEL_CAP
 ) -> LengthProfile:
-    """Euclidean and Manhattan polyline lengths of f_i for i = 0..i_max."""
-    levels, euclid, manhattan, tv = [], [], [], []
-    for i, v in _per_level_geometry(a, i_max, level_cap):
-        dy = np.diff(v)
-        dx = 3.0**-i
-        t = float(np.sum(np.abs(dy)))
-        levels.append(i)
-        tv.append(t)
-        manhattan.append(1.0 + t)
-        euclid.append(float(np.sum(np.sqrt(dx * dx + dy * dy))))
-    return LengthProfile(a, tuple(levels), tuple(euclid), tuple(manhattan), tuple(tv))
+    """Euclidean and Manhattan polyline lengths of f_i for i = 0..i_max.
+
+    Level i has C(i,k) 2^k pieces of width 3^-i and height a^k |1-2a|^(i-k),
+    so the Euclidean length is a sum of i+1 terms and the Manhattan length
+    is 1 + TV_i."""
+    levels, s, r, tv = _total_variation(a, i_max, level_cap)
+    euclid = tuple(
+        math.fsum(math.comb(i, k) * 2.0**k * math.hypot(3.0**-i, s**k * r ** (i - k))
+                  for k in range(i + 1))
+        for i in levels
+    )
+    return LengthProfile(a, levels, euclid, tuple(1.0 + t for t in tv), tv)
 
 
 def cover_profile(a: Parameter, i_max: int, level_cap: int = DEFAULT_LEVEL_CAP) -> CoverProfile:
     """Column-cover area A_i = TV_i * 3^-i and box count N_i = A_i / 9^-i.
 
-    The oscillation of an affine piece is |dy|, so the minimal width-delta
-    rectangle cover of f_i has total area sum(|dy|) * delta."""
-    levels, delta, area, boxes = [], [], [], []
-    for i, v in _per_level_geometry(a, i_max, level_cap):
-        t = float(np.sum(np.abs(np.diff(v))))
-        d = 3.0**-i
-        levels.append(i)
-        delta.append(d)
-        area.append(t * d)
-        boxes.append(t * 3.0**i)
-    return CoverProfile(a, tuple(levels), tuple(delta), tuple(area), tuple(boxes))
+    Each level-i column holds one affine piece whose range is its height, so
+    the minimal width-delta rectangle cover of f_i has area TV_i * delta."""
+    levels, _, _, tv = _total_variation(a, i_max, level_cap)
+    return CoverProfile(
+        a,
+        levels,
+        tuple(3.0**-i for i in levels),
+        tuple(t * 3.0**-i for i, t in zip(levels, tv)),
+        tuple(t * 3.0**i for i, t in zip(levels, tv)),
+    )
 
 
 def square_grid_counts(
     a: Parameter,
     i_min: int,
     i_max: int,
-    refine_extra: int = 3,
     level_cap: int = DEFAULT_LEVEL_CAP,
 ) -> list[tuple[int, int]]:
     """Conventional box counting: occupied delta-squares per level.
 
-    Column extrema are read off a polyline refined ``refine_extra`` levels
-    past i_max; each column of width delta contributes the grid cells between
-    floor(min/delta) and floor(max/delta)."""
-    fine = i_max + refine_extra
-    v = np.asarray(construct_iteration(Parameter(a.as_float()), fine, level_cap).vertices)
+    F_a ranges over a level-i column exactly between its endpoint values,
+    so level i reads every 3^(i_max-i)-th vertex of f_(i_max); each column
+    of width delta contributes the grid cells between floor(min/delta) and
+    floor(max/delta)."""
+    if i_min < 0:
+        raise DomainError("i_min must be >= 0")
+    v = np.asarray(construct_iteration(Parameter(a.as_float()), i_max, level_cap).vertices)
     out = []
     for i in range(i_min, i_max + 1):
-        cols = 3**i
-        seg = 3 ** (fine - i)
-        left = v[:-1].reshape(cols, seg)
-        right = v[seg::seg]
-        cmin = np.minimum(left.min(axis=1), right)
-        cmax = np.maximum(left.max(axis=1), right)
-        scale = 3.0**i
-        lo = np.floor(cmin * scale)
-        hi = np.minimum(np.floor(cmax * scale), scale - 1)
-        out.append((i, int(np.sum(hi - lo + 1))))
+        # floor commutes with min and max; in place, as one level-16 array is 344 MB
+        w = v[:: 3 ** (i_max - i)] * 3.0**i
+        np.floor(w, out=w)
+        lo = np.minimum(w[:-1], w[1:])
+        hi = np.maximum(w[:-1], w[1:])
+        np.minimum(hi, 3.0**i - 1, out=hi)
+        hi -= lo
+        out.append((i, int(np.sum(hi)) + len(hi)))
     return out
 
 

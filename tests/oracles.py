@@ -1,10 +1,14 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid the code paths they verify: the Cantor value comes
-straight from the classic digit rule, and the recursive evaluator walks the
-three-piece subdivision directly instead of using the digit series.
+straight from the classic digit rule, the recursive evaluator walks the
+three-piece subdivision directly instead of using the digit series, and the
+geometry references sum over the materialised vertices of f_i instead of
+using self-affinity.
 """
 from fractions import Fraction
+
+import numpy as np
 
 
 def cantor_value(digits):
@@ -88,3 +92,50 @@ def series_reference(a, x, tol):
         f"{used} digits certify only {float(bound):.3g}, above tol {float(tol):.3g}",
         float(bound),
     )
+
+
+def vertex_geometry(a: float, i_max: int):
+    """Per-level (euclidean, total_variation, boxes) summed over the vertices of f_i.
+
+    Each level is refined from the last and its 3^i segments are summed
+    directly: the Euclidean length of the polyline, TV_i = sum |dy| and the
+    column-cover box count TV_i * 3^i.  This is the vertex-based geometry the
+    closed forms replaced."""
+    # imported here: the benchmark's checker loads this module without okamoto
+    from okamoto.function import Parameter, level_zero, refine
+
+    pa = Parameter(a)
+    g = level_zero(pa)
+    out = []
+    for i in range(i_max + 1):
+        if i:
+            g = refine(g, pa)
+        dy = np.diff(g.vertices)
+        dx = 3.0**-i
+        tv = float(np.sum(np.abs(dy)))
+        out.append((float(np.sum(np.sqrt(dx * dx + dy * dy))), tv, tv * 3.0**i))
+    return out
+
+
+def square_grid_reference(a: float, i_min: int, i_max: int):
+    """Occupied delta-squares per level, with column extrema read off f_(i_max+3).
+
+    The vertex-based counter the endpoint-span one replaced: every column's
+    minimum and maximum run over all the finer vertices inside it."""
+    from okamoto.function import Parameter, construct_iteration
+
+    fine = i_max + 3
+    v = np.asarray(construct_iteration(Parameter(a), fine, level_cap=fine).vertices)
+    out = []
+    for i in range(i_min, i_max + 1):
+        cols = 3**i
+        seg = 3 ** (fine - i)
+        left = v[:-1].reshape(cols, seg)
+        right = v[seg::seg]
+        cmin = np.minimum(left.min(axis=1), right)
+        cmax = np.maximum(left.max(axis=1), right)
+        scale = 3.0**i
+        lo = np.floor(cmin * scale)
+        hi = np.minimum(np.floor(cmax * scale), scale - 1)
+        out.append((i, int(np.sum(hi - lo + 1))))
+    return out

@@ -85,6 +85,14 @@ def test_eval_bad_input_exits_with_one_line(argv, code):
     assert proc.stdout == ""
 
 
+def test_a0_nan_tol_exits_with_one_line():
+    proc = run_process("-m", "okamoto.cli", "a0", "--tol", "nan")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("okamoto: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 def test_import_and_commands_leave_numpy_unloaded():
     script = """
 import contextlib, io, sys

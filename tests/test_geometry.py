@@ -7,6 +7,7 @@ import pytest
 from okamoto import (
     DomainError,
     Parameter,
+    ResourceError,
     UnsupportedRegionError,
     arc_length_profile,
     chaos_game,
@@ -19,6 +20,8 @@ from okamoto import (
     square_grid_counts,
     to_ternary,
 )
+
+from oracles import square_grid_reference, vertex_geometry
 
 SQRT2 = math.sqrt(2)
 
@@ -123,6 +126,35 @@ def test_square_grid_cross_check():
 def test_square_grid_counts_monotone():
     counts = dict(square_grid_counts(Parameter(0.7), 1, 6))
     assert all(counts[i + 1] > counts[i] for i in range(1, 6))
+
+
+@pytest.mark.parametrize("av", (0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
+def test_closed_forms_match_vertex_sums(av):
+    arc = arc_length_profile(Parameter(av), 10)
+    cov = cover_profile(Parameter(av), 10)
+    for i, (euclid, tv, boxes) in enumerate(vertex_geometry(av, 10)):
+        assert abs(arc.euclidean[i] - euclid) <= 1e-12 * euclid
+        assert abs(arc.total_variation[i] - tv) <= 1e-12 * tv
+        assert abs(cov.boxes[i] - boxes) <= 1e-12 * boxes
+
+
+@pytest.mark.parametrize("av", (0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
+def test_square_grid_counts_match_refined_reference(av):
+    assert square_grid_counts(Parameter(av), 1, 10) == square_grid_reference(av, 1, 10)
+
+
+def test_geometry_level_bounds():
+    a = Parameter(0.7)
+    for fn in (arc_length_profile, cover_profile):
+        assert len(fn(a, 16).levels) == 17
+        with pytest.raises(ResourceError):
+            fn(a, 17)
+        with pytest.raises(DomainError):
+            fn(a, -1)
+    with pytest.raises(ResourceError):
+        square_grid_counts(a, 1, 5, level_cap=4)
+    with pytest.raises(DomainError):
+        square_grid_counts(a, -1, 5)
 
 
 def test_chaos_weights():
