@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import __version__
 from .differentiability import (
-    critical_a0,
     derivative_trace,
     digit_frequency_experiment,
     find_a0,

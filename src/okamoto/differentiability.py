@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .errors import DomainError, PrecisionError, UnsupportedRegionError
@@ -153,15 +153,10 @@ def find_a0(tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-_A0_CACHE: float | None = None
-
-
+@cache
 def critical_a0() -> float:
     """a0 to full float precision, computed once."""
-    global _A0_CACHE
-    if _A0_CACHE is None:
-        _A0_CACHE = find_a0(1e-15)
-    return _A0_CACHE
+    return find_a0(1e-15)
 
 
 def region_classify(a: Parameter) -> RegionClass:
@@ -221,18 +216,14 @@ def nondiff_points(a: Parameter, i: int) -> list:
     if i < 0:
         raise DomainError("level must be >= 0")
     af = a.as_float()
-    exact = a.mode == "exact"
+    frac, n = a.frac, 3**i
     if 0 < af < 1 / 3 and not a.is_exactly(1, 3):
-        if exact:
-            return [Fraction(2 * k + 1, 2 * 3**i) for k in range(3**i)]
-        return [(2 * k + 1) / (2 * 3**i) for k in range(3**i)]
+        return [frac(2 * k + 1, 2 * n) for k in range(n)]
     in_second = (1 / 3 < af < critical_a0()) and not (
         a.is_exactly(1, 3) or a.is_exactly(1, 2)
     )
     if in_second:
-        if exact:
-            return [Fraction(k, 3**i) for k in range(3**i + 1)]
-        return [k / 3**i for k in range(3**i + 1)]
+        return [frac(k, n) for k in range(n + 1)]
     raise UnsupportedRegionError(
         f"no finite non-differentiability family is known for a = {a}; "
         "supported ranges are (0, 1/3) and (1/3, 1/2) u (1/2, a0)"

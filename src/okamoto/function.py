@@ -7,9 +7,12 @@ Three equivalent views of the same object:
   * the iterated function system of three plane contractions whose unique
     invariant set is the graph of F_a.
 
-Everything runs in one of two arithmetic modes: exact rationals or floats.
-The exact digit series runs on integers scaled by powers of q for a = p/q;
-numpy is imported only by the float construction, for bulk vertex work.
+Everything runs in one of two arithmetic modes, exact rationals or floats,
+and the mode is decided in one place: `Parameter.frac` builds the constants
+and grid points of either mode, so every view has one code path for both.
+The exact digit series runs on integers scaled by powers of q for a = p/q.
+Construction refines numpy arrays in both modes (of Fractions in exact mode),
+and numpy is imported only there.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, PrecisionError, ResourceError
 from .ternary import TernaryExpansion
@@ -42,17 +45,16 @@ class Parameter:
         return "exact" if isinstance(self.value, Fraction) else "float"
 
     @property
-    def a(self) -> Fraction | float:
-        return self.value
+    def frac(self) -> Callable[[int, int], Fraction | float]:
+        """(p, q) -> p/q in this parameter's arithmetic: Fraction or float division."""
+        return Fraction if self.mode == "exact" else operator.truediv
 
     def as_float(self) -> float:
         return float(self.value)
 
     def is_exactly(self, p: int, q: int) -> bool:
         """Whether a equals p/q in this parameter's own arithmetic."""
-        if self.mode == "exact":
-            return self.value == Fraction(p, q)
-        return self.value == p / q
+        return self.value == self.frac(p, q)
 
     @cached_property
     def _series(self) -> tuple:
@@ -134,40 +136,34 @@ class EvalResult:
 
 def level_zero(a: Parameter) -> IterationGraph:
     """f_0 is the identity: vertices [0, 1]."""
-    if a.mode == "exact":
-        return IterationGraph(0, [Fraction(0), Fraction(1)], a)
-    import numpy as np
+    vertices = [a.frac(0, 1), a.frac(1, 1)]
+    if a.mode == "float":
+        import numpy as np
 
-    return IterationGraph(0, np.array([0.0, 1.0]), a)
+        vertices = np.array(vertices)
+    return IterationGraph(0, vertices, a)
 
 
 def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     """One inductive step: each affine segment (yL, yR) is replaced by three,
 
     with new interior vertices yL + a*(yR-yL) and yL + (1-a)*(yR-yL); all
-    existing grid values are preserved exactly.
+    existing grid values are preserved exactly.  Both modes run the same
+    array code, on a float64 array or on an object array of Fractions;
+    exact vertices are handed back as a list of Fractions.
     """
     if a != g.a:
         raise DomainError("refine called with a different parameter than the graph's")
-    if a.mode == "float":
-        import numpy as np
+    import numpy as np
 
-        v = np.asarray(g.vertices, dtype=float)
-        af = a.as_float()
-        d = np.diff(v)
-        out = np.empty(3 * (len(v) - 1) + 1)
-        out[0::3] = v
-        out[1::3] = v[:-1] + af * d
-        out[2::3] = v[:-1] + (1 - af) * d
-        return IterationGraph(g.level + 1, out, a)
-    av = a.value
-    out = []
-    v = g.vertices
-    for yl, yr in zip(v[:-1], v[1:]):
-        delta = yr - yl
-        out.extend((yl, yl + av * delta, yl + (1 - av) * delta))
-    out.append(v[-1])
-    return IterationGraph(g.level + 1, out, a)
+    exact = a.mode == "exact"
+    v = np.asarray(g.vertices, dtype=object if exact else float)
+    d = np.diff(v)
+    out = np.empty(3 * (len(v) - 1) + 1, dtype=v.dtype)
+    out[0::3] = v
+    out[1::3] = v[:-1] + a.value * d
+    out[2::3] = v[:-1] + (1 - a.value) * d
+    return IterationGraph(g.level + 1, out.tolist() if exact else out, a)
 
 
 def construct_iteration(a: Parameter, i: int, level_cap: int = DEFAULT_LEVEL_CAP) -> IterationGraph:
@@ -184,11 +180,11 @@ def construct_iteration(a: Parameter, i: int, level_cap: int = DEFAULT_LEVEL_CAP
 
 def sample_graph(a: Parameter, i: int, level_cap: int = DEFAULT_LEVEL_CAP) -> list[tuple]:
     """Polyline of f_i: the 3**i + 1 points (k/3**i, vertex[k]) in x order."""
-    g = construct_iteration(a, i, level_cap)
-    n = 3**i
-    if a.mode == "exact":
-        return [(Fraction(k, n), y) for k, y in enumerate(g.vertices)]
-    return [(k / n, float(y)) for k, y in enumerate(g.vertices)]
+    import numpy as np
+
+    ys = np.asarray(construct_iteration(a, i, level_cap).vertices).tolist()
+    frac, n = a.frac, 3**i
+    return [(frac(k, n), y) for k, y in enumerate(ys)]
 
 
 def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
@@ -206,8 +202,7 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    exact = a.mode == "exact"
-    frac = Fraction if exact else operator.truediv
+    exact, frac = a.mode == "exact", a.frac
     if x.is_one:
         return EvalResult(frac(1, 1), frac(0, 1), 0)
     q, offsets, mults, tail_num, tail_den = a._series
@@ -255,12 +250,8 @@ def ifs_maps(a: Parameter) -> tuple[AffineMap2D, AffineMap2D, AffineMap2D]:
     w2(x,y) = ((2-x)/3, (2a-1) y + (1-a))
     w3(x,y) = ((2+x)/3, a y + (1-a))
     """
-    av = a.value
-    if a.mode == "exact":
-        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-        zero = Fraction(0)
-    else:
-        third, two_thirds, zero = 1 / 3, 2 / 3, 0.0
+    av, frac = a.value, a.frac
+    third, two_thirds, zero = frac(1, 3), frac(2, 3), frac(0, 1)
     return (
         AffineMap2D(1, third, zero, av, zero),
         AffineMap2D(2, -third, two_thirds, 2 * av - 1, 1 - av),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError
-from .function import DEFAULT_LEVEL_CAP, Parameter, construct_iteration
+from .function import DEFAULT_LEVEL_CAP, Parameter, construct_iteration, ifs_maps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,9 +145,10 @@ def square_grid_counts(
         # floor commutes with min and max; in place, as one level-16 array is 344 MB
         w = v[:: 3 ** (i_max - i)] * 3.0**i
         np.floor(w, out=w)
+        # a value of 1.0 (F_a(1), or one rounded up to it) belongs to the top row
+        np.minimum(w, 3.0**i - 1, out=w)
         lo = np.minimum(w[:-1], w[1:])
         hi = np.maximum(w[:-1], w[1:])
-        np.minimum(hi, 3.0**i - 1, out=hi)
         hi -= lo
         out.append((i, int(np.sum(hi)) + len(hi)))
     return out
@@ -212,11 +213,8 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
     if burn_in < 0:
         raise DomainError("burn_in must be >= 0")
     w = chaos_weights(a)
-    af = a.as_float()
-    xs = (1 / 3, -1 / 3, 1 / 3)
-    xo = (0.0, 2 / 3, 2 / 3)
-    ys = (af, 2 * af - 1, af)
-    yo = (0.0, 1 - af, 1 - af)
+    xs, xo, ys, yo = zip(*((m.x_scale, m.x_offset, m.y_scale, m.y_offset)
+                           for m in ifs_maps(Parameter(a.as_float()))))
     rng = np.random.default_rng(seed)
     idx = rng.choice(3, size=burn_in + n, p=w)
     pts = np.empty((n, 2))

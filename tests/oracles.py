@@ -4,7 +4,8 @@ These deliberately avoid the code paths they verify: the Cantor value comes
 straight from the classic digit rule, the recursive evaluator walks the
 three-piece subdivision directly instead of using the digit series, and the
 geometry references sum over the materialised vertices of f_i instead of
-using self-affinity.
+using self-affinity.  The construction and chaos-game references are plain
+per-element loops over the paper's formulas instead of array code.
 """
 from fractions import Fraction
 
@@ -94,6 +95,45 @@ def series_reference(a, x, tol):
     )
 
 
+def refine_reference(vertices, a):
+    """One refinement step, segment by segment, in generic arithmetic.
+
+    ``vertices`` is a sequence of Fractions or floats and ``a`` the parameter
+    value in the same arithmetic.  Each segment (yL, yR) becomes the three
+    vertices yL, yL + a*(yR-yL), yL + (1-a)*(yR-yL); the last vertex is kept.
+    This is the per-segment loop the library's exact mode ran before both
+    modes shared one array path.
+    """
+    out = []
+    for yl, yr in zip(vertices[:-1], vertices[1:]):
+        delta = yr - yl
+        out.extend((yl, yl + a * delta, yl + (1 - a) * delta))
+    out.append(vertices[-1])
+    return out
+
+
+def chaos_reference(a: float, n: int, burn_in: int, seed: int):
+    """The weighted chaos game as a plain loop over the paper's three maps.
+
+    w1(x,y) = (x/3, a y), w2(x,y) = ((2-x)/3, (2a-1) y + (1-a)) and
+    w3(x,y) = ((2+x)/3, a y + (1-a)), drawn with probabilities proportional
+    to (a, 2a-1, a) from numpy's seeded generator, starting at (0, 0).
+    Returns the n points after burn_in steps as a list of (x, y) tuples.
+    """
+    maps = ((1 / 3, 0.0, a, 0.0), (-1 / 3, 2 / 3, 2 * a - 1, 1 - a), (1 / 3, 2 / 3, a, 1 - a))
+    total = 4 * a - 1
+    idx = np.random.default_rng(seed).choice(
+        3, size=burn_in + n, p=(a / total, (2 * a - 1) / total, a / total))
+    x = y = 0.0
+    points = []
+    for t, j in enumerate(idx):
+        sx, tx, sy, ty = maps[j]
+        x, y = sx * x + tx, sy * y + ty
+        if t >= burn_in:
+            points.append((x, y))
+    return points
+
+
 def vertex_geometry(a: float, i_max: int):
     """Per-level (euclidean, total_variation, boxes) summed over the vertices of f_i.
 
@@ -135,7 +175,8 @@ def square_grid_reference(a: float, i_min: int, i_max: int):
         cmin = np.minimum(left.min(axis=1), right)
         cmax = np.maximum(left.max(axis=1), right)
         scale = 3.0**i
-        lo = np.floor(cmin * scale)
+        # values at (or rounded to) 1.0 belong to the top row of cells
+        lo = np.minimum(np.floor(cmin * scale), scale - 1)
         hi = np.minimum(np.floor(cmax * scale), scale - 1)
         out.append((i, int(np.sum(hi - lo + 1))))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -207,3 +208,47 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "0.1.0"
+
+
+# SHA-256 of the stdout of each command.  CLI output stays byte-identical
+# unless a change says what changed and why; only then is a digest updated.
+# The headers carry the version, and `chaos` also depends on numpy's
+# `Generator.choice` stream, so a numpy that changes that stream changes the
+# chaos digests without any change to okamoto.
+GOLDEN = [
+    ("iterate --a 3/5 --level 4",
+     "2894691fcff3fe9c81c50c7eafeb682ca82834e1dd1bc2b6c2ad8198a5786fc5"),
+    ("iterate --a 3/5 --level 3 --format svg",
+     "28349e05e255ffc550e32125cb56c71319afc99464253a2d8ddf80743f7555c0"),
+    ("iterate --a 0.7 --level 5",
+     "9726f2ae810755e7b0e9309743f832082e4b8db60862500ca08971d97e751888"),
+    ("iterate --a 0.7 --level 4 --format svg",
+     "347019e28e5b8bdc6fe604bda578ad40e9751c88ed3254a6554edebd21efb385"),
+    ("chaos --a 0.8 --n 500 --seed 3",
+     "448582686444423483dad3be69595651475f1abb49378fb7268986ecc1c7c540"),
+    ("chaos --a 2/3 --n 200 --seed 1 --format svg",
+     "db836795d190b1ec6b2b8d41d56110e7fbd9b436d195fc906a3d354d584cf224"),
+    ("dim --a 0.9 --levels 1..8 --method square",
+     "2a3339cf3e4adfe7fe8edb327eb4ba9823912cf4db5ed47e6d87281e23287289"),
+    ("dim --a 0.6 --levels 1..8",
+     "2961e415738d533435f9457c5b030e9deeea83e8e6e871bd4d44d8f43f3d35c9"),
+    ("arclength --a 0.35 --levels 0..12",
+     "3c8ad7df1736a43aa188f51cec465b16fd6161b54ee7216ff892236e540b25c5"),
+    ("eval --a 3/5 --x 1/7 --exact",
+     "05a475d2ff66a4d3404b250cb985f27a8084764a15ff365e75570dd860222164"),
+    ("eval --a 0.6 --x 0.3",
+     "c9460419d6b998b7e90453585ca818cc0e7cca2dfa95529dc07adfde4b070241"),
+    ("derivative --a 0.6 --x 0.3 --n 40",
+     "9d2df4b76afc19f6a093503218a8c66dbac705eddd015d275a8a220ebff99ae3"),
+    ("classify --a 1/3",
+     "0b86a1988dfd96a75a4fd83c746cf6ad2c8533ccf709b568c07f0ebd8c5ab04b"),
+    ("a0",
+     "1068fad5b00c67c9085047914bd668c1614a4a4589a575c2b53002cba40ff1b9"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_cli_output_matches_golden_digest(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -20,10 +20,11 @@ from okamoto import (
     ternary_rational,
     to_ternary,
 )
+from okamoto.differentiability import nondiff_points
 from okamoto.function import level_zero
 from okamoto.ternary import TernaryExpansion
 
-from oracles import cantor_value, okamoto_recursive, series_reference
+from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
 
 
 def exact(p, q):
@@ -58,6 +59,28 @@ def test_refine_bourbaki_level_one():
     a = exact(2, 3)
     g = construct_iteration(a, 1)
     assert g.vertices == [0, Fraction(2, 3), Fraction(1, 3), 1]
+
+
+@pytest.mark.parametrize("exact_mode", (True, False), ids=("exact", "float"))
+def test_arithmetic_mode_of_results(exact_mode):
+    # exact mode yields Fractions; float mode Python floats or float64 arrays
+    def param(p, q):
+        return Parameter(Fraction(p, q) if exact_mode else p / q)
+
+    number = Fraction if exact_mode else float
+    a = param(2, 5)
+    for level in (0, 2):
+        v = construct_iteration(a, level).vertices
+        if exact_mode:
+            assert isinstance(v, list) and all(type(y) is Fraction for y in v)
+        else:
+            assert isinstance(v, np.ndarray) and v.dtype == np.float64
+    assert type(level_zero(a).vertices) is type(construct_iteration(a, 2).vertices)
+    values = [c for point in sample_graph(a, 2) for c in point]
+    values += [getattr(w, f) for w in ifs_maps(a)
+               for f in ("x_scale", "x_offset", "y_scale", "y_offset")]
+    values += nondiff_points(a, 2) + nondiff_points(param(1, 4), 2)
+    assert all(type(c) is number for c in values)
 
 
 def test_construct_level_zero_and_cantor_level_one():
@@ -243,6 +266,27 @@ def test_eval_float_mode_bit_identical_to_reference():
         n = rng.randrange(120)
         x = TernaryExpansion(tuple(rng.randrange(3) for _ in range(n)), rng.random() < 0.5)
         _same_as_reference(av, x, 10.0 ** rng.uniform(-40, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_a_fraction, exact_mode=st.booleans())
+@example(a=Fraction(1, 2), exact_mode=True)
+@example(a=Fraction(1, 2), exact_mode=False)
+@example(a=Fraction(1, 10**300), exact_mode=False)  # the float a = 1e-300
+def test_refine_matches_segment_loop(a, exact_mode):
+    # exact levels 0..6 equal as Fractions, float levels 0..10 equal bit for bit
+    a = Parameter(a if exact_mode else float(a))
+    g = level_zero(a)
+    ref = list(g.vertices)
+    for level in range(7 if exact_mode else 11):
+        if level:
+            g = refine(g, a)
+            ref = refine_reference(ref, a.value)
+        if exact_mode:
+            assert isinstance(g.vertices, list) and g.vertices == ref
+        else:
+            assert g.vertices.dtype == np.float64
+            assert g.vertices.tobytes() == np.array(ref).tobytes()
 
 
 def test_eval_rejects_nan_tol():

@@ -21,7 +21,7 @@ from okamoto import (
     to_ternary,
 )
 
-from oracles import square_grid_reference, vertex_geometry
+from oracles import chaos_reference, square_grid_reference, vertex_geometry
 
 SQRT2 = math.sqrt(2)
 
@@ -138,9 +138,15 @@ def test_closed_forms_match_vertex_sums(av):
         assert abs(cov.boxes[i] - boxes) <= 1e-12 * boxes
 
 
-@pytest.mark.parametrize("av", (0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
+@pytest.mark.parametrize("av", (0.001, 0.01, 0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
 def test_square_grid_counts_match_refined_reference(av):
     assert square_grid_counts(Parameter(av), 1, 10) == square_grid_reference(av, 1, 10)
+
+
+def test_square_grid_counts_top_row_columns():
+    # at a = 0.01 four level-10 columns next to x = 1 have both endpoint
+    # values rounded to 1.0; each still occupies one square of the top row
+    assert square_grid_counts(Parameter(0.01), 10, 10) == [(10, 118097)]
 
 
 def test_geometry_level_bounds():
@@ -176,6 +182,14 @@ def test_chaos_game_deterministic():
     assert np.array_equal(s1.points, s2.points)
     s3 = chaos_game(Parameter(2 / 3), 500, seed=8)
     assert not np.array_equal(s1.points, s3.points)
+
+
+@pytest.mark.parametrize("a", (Parameter(Fraction(2, 3)), Parameter(0.9)), ids=str)
+@pytest.mark.parametrize("seed", (0, 11))
+def test_chaos_game_matches_reference_loop(a, seed):
+    s = chaos_game(a, 2000, burn_in=25, seed=seed)
+    ref = np.array(chaos_reference(a.as_float(), 2000, 25, seed))
+    assert s.points.tobytes() == ref.tobytes()
 
 
 def test_chaos_game_points_inside_unit_square():
