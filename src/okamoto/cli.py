@@ -22,7 +22,7 @@ from .differentiability import (
     region_classify,
 )
 from .errors import DomainError, OkamotoError, PrecisionError
-from .function import Parameter, eval_digit_series, sample_graph
+from .function import Parameter, eval_digit_series, parse_real, sample_graph
 from .ternary import TernaryExpansion, to_ternary
 
 
@@ -42,22 +42,8 @@ def _fmt(v) -> str:
 
 
 def _parse_x(text: str, a: Parameter, digits: int) -> TernaryExpansion:
-    """x as a decimal in [0,1] or an exact fraction p/q."""
-    text = text.strip()
-    if "/" in text:
-        try:
-            frac = Fraction(text)
-        except ZeroDivisionError:
-            raise DomainError(f"x = {text} has a zero denominator") from None
-        if not 0 <= frac <= 1:
-            raise DomainError(f"x = {text} outside [0, 1]")
-        # exact expansion; 3-smooth denominators terminate on their own
-        e = to_ternary(frac, digits)
-    elif a.mode == "exact":
-        e = to_ternary(Fraction(text), digits)
-    else:
-        e = to_ternary(float(text), digits)
-    return e
+    """x as a decimal in [0,1] or an exact fraction p/q, in a's mode unless p/q."""
+    return to_ternary(parse_real(text, a.mode == "exact", "x"), digits)
 
 
 def _header(a: Parameter, seed=None) -> str:
@@ -69,8 +55,6 @@ def _header(a: Parameter, seed=None) -> str:
 def _write(path: str | None, content: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(content)
-        if not content.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(content)
@@ -86,11 +70,14 @@ def _svg_polyline(points) -> str:
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
-    """Inclusive 'lo..hi' range."""
+    """Inclusive 'lo..hi' range with 0 <= lo <= hi."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise DomainError(f"level range {text!r} must look like 'lo..hi'")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi:
+        raise DomainError(f"level range {text!r} needs 0 <= lo <= hi")
+    return lo, hi
 
 
 def cmd_eval(args) -> int:
@@ -159,8 +146,6 @@ def cmd_arclength(args) -> int:
 def cmd_derivative(args) -> int:
     a = Parameter.parse(args.a, exact=args.exact)
     x = _parse_x(args.x, a, args.n)
-    if len(x.digits) < args.n:
-        x = x.padded(args.n)
     tr = derivative_trace(a, x, args.n)
     lines = [_header(a), "m,digit,D_m"]
     for m, (d, v) in enumerate(zip(x.digits, tr.values), start=1):

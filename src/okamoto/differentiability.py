@@ -14,7 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
 
 from .errors import DomainError, PrecisionError, UnsupportedRegionError
 from .function import Parameter
@@ -86,7 +85,7 @@ def derivative_trace(a: Parameter, x: TernaryExpansion, n: int) -> DerivativeTra
     av = a.value
     m_one = 3 - 6 * av
     m_other = 3 * av
-    d = av * 0 + 1
+    d = a.frac(1, 1)
     values = []
     max_abs = 0.0
     diverged = False
@@ -230,43 +229,30 @@ def nondiff_points(a: Parameter, i: int) -> list:
     )
 
 
-def _stream_rng(seed: int, index: int) -> "numpy.random.Generator":
-    """Per-sample generator derived from (seed, index): reproducible and
+def _stream_digits(seed: int, index: int, n: int) -> "numpy.ndarray":
+    """n uniform ternary digits for sample `index` of experiment `seed`.
 
-    independent of how samples are distributed across workers."""
+    The generator is derived from (seed, index), so a stream is reproducible
+    and independent of how samples are distributed across workers."""
     import numpy as np
 
-    return np.random.default_rng([seed, index])
+    return np.random.default_rng([seed, index]).integers(0, 3, size=n)
 
 
 def random_digit_stream(seed: int, index: int, n: int) -> TernaryExpansion:
     """n uniform ternary digits for sample `index` of experiment `seed`."""
-    digits = _stream_rng(seed, index).integers(0, 3, size=n)
-    return TernaryExpansion(tuple(int(d) for d in digits))
+    return TernaryExpansion(tuple(_stream_digits(seed, index, n).tolist()))
 
 
-def digit_frequency_experiment(
-    samples: int,
-    n: int,
-    seed: int,
-    digits_fn: Callable[[int], Sequence[int]] | None = None,
-) -> FrequencySummary:
-    """Distribution of ones(n)/n over random digit streams.
-
-    ``digits_fn`` substitutes a deterministic stream per sample index (used
-    for control cases); by default streams are uniform and seeded per sample.
-    """
+def digit_frequency_experiment(samples: int, n: int, seed: int) -> FrequencySummary:
+    """Distribution of ones(n)/n over the streams random_digit_stream(seed, idx, n)."""
     if samples < 1 or n < 1:
         raise DomainError("samples and n must be >= 1")
     import numpy as np
 
     ratios = np.empty(samples)
     for idx in range(samples):
-        if digits_fn is not None:
-            digits = np.asarray(digits_fn(idx))
-        else:
-            digits = _stream_rng(seed, idx).integers(0, 3, size=n)
-        ratios[idx] = np.count_nonzero(digits == 1) / n
+        ratios[idx] = np.count_nonzero(_stream_digits(seed, idx, n) == 1) / n
     within = float(np.mean(np.abs(ratios - 1 / 3) <= 0.02))
     return FrequencySummary(
         samples=samples,

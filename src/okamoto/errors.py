@@ -14,7 +14,7 @@ class UnsupportedRegionError(DomainError):
 
 
 class ResourceError(OkamotoError, ValueError):
-    """A requested level/size exceeds the configured resource cap."""
+    """A requested level exceeds what the call can build: its memory budget or float range."""
 
 
 class PrecisionError(OkamotoError, ArithmeticError):

@@ -26,8 +26,19 @@ from typing import Callable, Sequence
 from .errors import DomainError, PrecisionError, ResourceError
 from .ternary import TernaryExpansion
 
-#: Largest construction level materialised by default (3^16 + 1 vertices).
-DEFAULT_LEVEL_CAP = 16
+#: Most bytes construct_iteration may spend on the vertices of one level (512 MiB).
+CONSTRUCTION_BUDGET = 2**29
+
+
+def parse_real(text: str, exact: bool, name: str) -> Fraction | float:
+    """'p/q' (always exact) or a decimal (exact only on request) as a Fraction or float."""
+    text = text.strip()
+    if "/" in text or exact:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise DomainError(f"{name} = {text} has a zero denominator") from None
+    return float(text)
 
 
 @dataclass(frozen=True)
@@ -81,13 +92,7 @@ class Parameter:
     @classmethod
     def parse(cls, text: str, exact: bool = False) -> "Parameter":
         """Parse 'p/q' (always exact) or a decimal (exact only on request)."""
-        text = text.strip()
-        if "/" in text or exact:
-            try:
-                return cls(Fraction(text))
-            except ZeroDivisionError:
-                raise DomainError(f"parameter a = {text} has a zero denominator") from None
-        return cls(float(text))
+        return cls(parse_real(text, exact, "parameter a"))
 
     def __str__(self) -> str:
         if self.mode == "exact":
@@ -166,23 +171,47 @@ def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     return IterationGraph(g.level + 1, out.tolist() if exact else out, a)
 
 
-def construct_iteration(a: Parameter, i: int, level_cap: int = DEFAULT_LEVEL_CAP) -> IterationGraph:
-    """i-fold refinement of the identity graph."""
+def vertex_bytes(a: Parameter, i: int) -> int:
+    """Upper estimate of the memory one level-i vertex takes during construction.
+
+    8 for float64, the returned array; refine's temporaries about double the
+    peak (698 MB at level 16).  For a = p/q a level-i vertex is an integer over
+    q^i, so the numerator and denominator of its Fraction have at most
+    i*bit_length(q) bits.  Peak RSS of construct_iteration above a numpy-loaded
+    baseline (x86-64, CPython 3.11) is 206-207 B per vertex at q = 5 (levels
+    10-12), 261-282 B at q = 10^4 (levels 10-12) and 3.4-3.8 KB at q = 10^300
+    (levels 9-10); 200 + i*bit_length(q)/2 covers each, by 1-37 %.
+    """
+    if a.mode == "float":
+        return 8
+    return 200 + i * a.value.denominator.bit_length() // 2
+
+
+def construct_iteration(a: Parameter, i: int) -> IterationGraph:
+    """i-fold refinement of the identity graph.
+
+    Refuses a level whose 3^i + 1 vertices, at vertex_bytes(a, i) each, exceed
+    CONSTRUCTION_BUDGET: float levels above 16, and above 13 for a = 3/5."""
     if i < 0:
         raise DomainError("level must be >= 0")
-    if i > level_cap:
-        raise ResourceError(f"level {i} exceeds cap {level_cap} (3^{i}+1 vertices)")
+    each = vertex_bytes(a, i)
+    # 3^17 float64 vertices are already over budget, so no larger power of 3 is formed
+    if (3 ** min(i, 17) + 1) * each > CONSTRUCTION_BUDGET:
+        raise ResourceError(
+            f"level {i} needs over {CONSTRUCTION_BUDGET >> 20} MiB: 3^{i} + 1 vertices "
+            f"of about {each} bytes each"
+        )
     g = level_zero(a)
     for _ in range(i):
         g = refine(g, a)
     return g
 
 
-def sample_graph(a: Parameter, i: int, level_cap: int = DEFAULT_LEVEL_CAP) -> list[tuple]:
+def sample_graph(a: Parameter, i: int) -> list[tuple]:
     """Polyline of f_i: the 3**i + 1 points (k/3**i, vertex[k]) in x order."""
     import numpy as np
 
-    ys = np.asarray(construct_iteration(a, i, level_cap).vertices).tolist()
+    ys = np.asarray(construct_iteration(a, i).vertices).tolist()
     frac, n = a.frac, 3**i
     return [(frac(k, n), y) for k, y in enumerate(ys)]
 

@@ -15,12 +15,13 @@ between the column's two endpoint values, which is all the square grid reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError
-from .function import DEFAULT_LEVEL_CAP, Parameter, construct_iteration, ifs_maps
+from .function import Parameter, construct_iteration, ifs_maps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,27 +82,33 @@ class MassBoundReport:
     max_ratio: float
 
 
-def _total_variation(a: Parameter, i_max: int, level_cap: int):
-    """Levels 0..i_max, slope magnitudes s = a and r = |1-2a|, and TV_i = (2s+r)^i."""
+def _total_variation(a: Parameter, i_max: int):
+    """Levels 0..i_max, slope magnitudes s = a and r = |1-2a|, and TV_i = (2s+r)^i.
+
+    Refuses i_max above the largest level whose box count (3(2s+r))^i is a
+    finite float; every other profile value is smaller.  Python's float
+    overflow cannot be left to say so, as for a > 1/2 it returns inf."""
     if i_max < 0:
         raise DomainError("i_max must be >= 0")
-    if i_max > level_cap:
-        raise ResourceError(f"level {i_max} exceeds cap {level_cap}")
     s = a.as_float()
     r = abs(1 - 2 * s)
+    top = math.floor(math.log(sys.float_info.max) / math.log(3 * (2 * s + r)))
+    if i_max > top:
+        raise ResourceError(
+            f"level {i_max} exceeds {top}, the last level whose box count "
+            f"(3(2a+|1-2a|))^i is a finite float at a = {a}"
+        )
     levels = tuple(range(i_max + 1))
     return levels, s, r, tuple((2 * s + r) ** i for i in levels)
 
 
-def arc_length_profile(
-    a: Parameter, i_max: int, level_cap: int = DEFAULT_LEVEL_CAP
-) -> LengthProfile:
+def arc_length_profile(a: Parameter, i_max: int) -> LengthProfile:
     """Euclidean and Manhattan polyline lengths of f_i for i = 0..i_max.
 
     Level i has C(i,k) 2^k pieces of width 3^-i and height a^k |1-2a|^(i-k),
     so the Euclidean length is a sum of i+1 terms and the Manhattan length
     is 1 + TV_i."""
-    levels, s, r, tv = _total_variation(a, i_max, level_cap)
+    levels, s, r, tv = _total_variation(a, i_max)
     euclid = tuple(
         math.fsum(math.comb(i, k) * 2.0**k * math.hypot(3.0**-i, s**k * r ** (i - k))
                   for k in range(i + 1))
@@ -110,12 +117,12 @@ def arc_length_profile(
     return LengthProfile(a, levels, euclid, tuple(1.0 + t for t in tv), tv)
 
 
-def cover_profile(a: Parameter, i_max: int, level_cap: int = DEFAULT_LEVEL_CAP) -> CoverProfile:
+def cover_profile(a: Parameter, i_max: int) -> CoverProfile:
     """Column-cover area A_i = TV_i * 3^-i and box count N_i = A_i / 9^-i.
 
     Each level-i column holds one affine piece whose range is its height, so
     the minimal width-delta rectangle cover of f_i has area TV_i * delta."""
-    levels, _, _, tv = _total_variation(a, i_max, level_cap)
+    levels, _, _, tv = _total_variation(a, i_max)
     return CoverProfile(
         a,
         levels,
@@ -125,12 +132,7 @@ def cover_profile(a: Parameter, i_max: int, level_cap: int = DEFAULT_LEVEL_CAP) 
     )
 
 
-def square_grid_counts(
-    a: Parameter,
-    i_min: int,
-    i_max: int,
-    level_cap: int = DEFAULT_LEVEL_CAP,
-) -> list[tuple[int, int]]:
+def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, int]]:
     """Conventional box counting: occupied delta-squares per level.
 
     F_a ranges over a level-i column exactly between its endpoint values,
@@ -139,7 +141,7 @@ def square_grid_counts(
     floor(max/delta)."""
     if i_min < 0:
         raise DomainError("i_min must be >= 0")
-    v = np.asarray(construct_iteration(Parameter(a.as_float()), i_max, level_cap).vertices)
+    v = np.asarray(construct_iteration(Parameter(a.as_float()), i_max).vertices)
     out = []
     for i in range(i_min, i_max + 1):
         # floor commutes with min and max; in place, as one level-16 array is 344 MB
@@ -163,20 +165,16 @@ def dimension_reference(a: Parameter) -> float:
 
 
 def dimension_estimate(
-    a: Parameter,
-    i_min: int,
-    i_max: int,
-    method: str = "column",
-    level_cap: int = DEFAULT_LEVEL_CAP,
+    a: Parameter, i_min: int, i_max: int, method: str = "column"
 ) -> DimensionEstimate:
     """Slope of log N versus log(1/delta) over levels i_min..i_max."""
     if not i_max > i_min >= 1:
         raise DomainError("need i_max > i_min >= 1 for a two-point fit")
     if method == "column":
-        prof = cover_profile(a, i_max, level_cap)
+        prof = cover_profile(a, i_max)
         pairs = [(i, prof.boxes[i]) for i in range(i_min, i_max + 1)]
     elif method == "square":
-        pairs = square_grid_counts(a, i_min, i_max, level_cap=level_cap)
+        pairs = square_grid_counts(a, i_min, i_max)
     else:
         raise DomainError(f"unknown box-counting method {method!r}")
     x = np.array([i * math.log(3) for i, _ in pairs])

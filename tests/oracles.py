@@ -165,7 +165,7 @@ def square_grid_reference(a: float, i_min: int, i_max: int):
     from okamoto.function import Parameter, construct_iteration
 
     fine = i_max + 3
-    v = np.asarray(construct_iteration(Parameter(a), fine, level_cap=fine).vertices)
+    v = np.asarray(construct_iteration(Parameter(a), fine).vertices)
     out = []
     for i in range(i_min, i_max + 1):
         cols = 3**i

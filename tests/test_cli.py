@@ -73,13 +73,18 @@ def test_eval_precision_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--a", "1e-300", "--x", "0.3"], 2),  # 1 - 2a rounds to 1 in float
-    (["--a", "1/0", "--x", "0.3"], 1),
-    (["--a", "3/5", "--x", "2/0"], 1),
-    (["--a", "3/5", "--x", "0.3", "--tol", "nan"], 1),
+    (["eval", "--a", "1e-300", "--x", "0.3"], 2),  # 1 - 2a rounds to 1 in float
+    (["eval", "--a", "1/0", "--x", "0.3"], 1),
+    (["eval", "--a", "3/5", "--x", "2/0"], 1),
+    (["eval", "--a", "3/5", "--x", "0.3", "--tol", "nan"], 1),
+    (["arclength", "--a", "0.6", "--levels=-2..3"], 1),
+    (["arclength", "--a", "0.6", "--levels", "3..1"], 1),
+    (["dim", "--a", "0.9", "--levels", "1..346"], 1),  # box count past the float range
+    (["iterate", "--a", "3/5", "--level", "14"], 1),  # over the construction budget
+    (["iterate", "--a", "0.4", "--level", "1000000000"], 1),
 ])
 def test_eval_bad_input_exits_with_one_line(argv, code):
-    proc = run_process("-m", "okamoto.cli", "eval", *argv)
+    proc = run_process("-m", "okamoto.cli", *argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("okamoto: ") and proc.stderr.count("\n") == 1
@@ -140,6 +145,14 @@ def test_dim_csv(capsys):
     assert lines[1] == "level,delta,area,boxes,log_inv_delta,log_boxes"
     slope = float(lines[-1].split("slope=")[1].split()[0])
     assert abs(slope - math.log(5) / math.log(3)) < 1e-6
+
+
+def test_dim_up_to_last_float_level(capsys):
+    # at a = 0.9 the box count (12a-3)^i is a finite float up to level 345
+    code, out, _ = run(capsys, "dim", "--a", "0.9", "--levels", "1..345")
+    assert code == 0
+    slope = float(out.splitlines()[-1].split("slope=")[1].split()[0])
+    assert abs(slope - math.log(12 * 0.9 - 3) / math.log(3)) < 1e-12
 
 
 def test_arclength_csv_roundtrip(capsys, tmp_path):

@@ -186,9 +186,11 @@ def test_nondiff_points_sorted_inside_unit_interval():
         assert 0 <= pts[0] and pts[-1] <= 1
 
 
-def test_experiment_periodic_control():
-    s = digit_frequency_experiment(1, 300, 0, digits_fn=lambda idx: (0, 1, 2) * 100)
-    assert s.mean == pytest.approx(1 / 3, abs=0)
+@pytest.mark.parametrize("seed", (0, 3, 12))
+def test_experiment_counts_ones_of_random_digit_stream(seed):
+    ratios = [random_digit_stream(seed, idx, 300).digits.count(1) / 300 for idx in range(7)]
+    s = digit_frequency_experiment(7, 300, seed)
+    assert (s.mean, s.min, s.max) == (sum(ratios) / 7, min(ratios), max(ratios))
 
 
 def test_experiment_deterministic_and_concentrated():

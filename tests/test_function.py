@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from okamoto import (
     to_ternary,
 )
 from okamoto.differentiability import nondiff_points
-from okamoto.function import level_zero
+from okamoto.function import CONSTRUCTION_BUDGET, level_zero, vertex_bytes
 from okamoto.ternary import TernaryExpansion
 
 from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
@@ -97,8 +98,25 @@ def test_construct_two_refines_by_hand():
 def test_construct_level_cap():
     with pytest.raises(ResourceError):
         construct_iteration(Parameter(0.4), 17)
-    # override is allowed
-    construct_iteration(Parameter(0.4), 3, level_cap=3)
+    with pytest.raises(ResourceError):
+        construct_iteration(exact(3, 5), 14)
+    # refused before any power of 3 this large is formed
+    for a in (Parameter(0.4), exact(3, 5)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError):
+            construct_iteration(a, 10**9)
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("a, top", [
+    (Parameter(0.4), 16),
+    (exact(3, 5), 13),
+    (Parameter(Fraction(1, 10**300)), 10),
+], ids=("float", "3/5", "1/10^300"))
+def test_construction_budget_estimate(a, top):
+    # the last level whose estimated vertices fit the budget; nothing is built
+    assert (3**top + 1) * vertex_bytes(a, top) <= CONSTRUCTION_BUDGET
+    assert (3 ** (top + 1) + 1) * vertex_bytes(a, top + 1) > CONSTRUCTION_BUDGET
 
 
 def test_grid_persistence_under_refine():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,6 +139,33 @@ def test_closed_forms_match_vertex_sums(av):
         assert abs(cov.boxes[i] - boxes) <= 1e-12 * boxes
 
 
+@pytest.mark.parametrize("av, top, arc_top", [
+    (0.35, 646, 646), (0.5, 646, 200), (0.6, 494, 494), (0.9, 345, 345),
+])
+def test_profiles_match_mpmath_up_to_last_float_level(av, top, arc_top):
+    # 200-bit sums of the same closed forms at the float a's exact value; for
+    # these a, 2a and |1-2a| are exact in float, so TV_1 carries no rounding
+    cov = cover_profile(Parameter(av), top)
+    arc = arc_length_profile(Parameter(av), arc_top)
+
+    def close(got, ref):
+        return abs(mpmath.mpf(got) - ref) <= 1e-15 * abs(ref)
+
+    with mpmath.workprec(200):
+        s = mpmath.mpf(av)
+        r = abs(1 - 2 * s)
+        for i in range(top + 1):
+            tv = (2 * s + r) ** i
+            assert close(cov.area[i], tv / mpmath.mpf(3) ** i), i
+            assert close(cov.boxes[i], tv * mpmath.mpf(3) ** i), i
+        for i in sorted({*range(0, arc_top, 23), arc_top}):
+            delta = mpmath.mpf(3) ** -i
+            euclid = mpmath.fsum(math.comb(i, k) * 2**k * mpmath.hypot(delta, s**k * r ** (i - k))
+                                 for k in range(i + 1))
+            assert close(arc.euclidean[i], euclid), i
+            assert close(arc.total_variation[i], (2 * s + r) ** i), i
+
+
 @pytest.mark.parametrize("av", (0.001, 0.01, 0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
 def test_square_grid_counts_match_refined_reference(av):
     assert square_grid_counts(Parameter(av), 1, 10) == square_grid_reference(av, 1, 10)
@@ -150,15 +178,25 @@ def test_square_grid_counts_top_row_columns():
 
 
 def test_geometry_level_bounds():
+    # profiles answer up to the last level whose box count (3(2a+|1-2a|))^i
+    # is a finite float: 420 at a = 0.7, 646 for every a <= 1/2
     a = Parameter(0.7)
+    arc, cov = arc_length_profile(a, 420), cover_profile(a, 420)
+    assert len(arc.levels) == len(cov.levels) == 421
+    top = (arc.euclidean[-1], arc.manhattan[-1], arc.total_variation[-1], cov.area[-1],
+           cov.boxes[-1])
+    assert all(map(math.isfinite, top))
     for fn in (arc_length_profile, cover_profile):
-        assert len(fn(a, 16).levels) == 17
         with pytest.raises(ResourceError):
-            fn(a, 17)
+            fn(a, 421)
         with pytest.raises(DomainError):
             fn(a, -1)
+    prof = cover_profile(Parameter(0.35), 646)
+    assert math.isfinite(prof.boxes[646]) and prof.area[646] > 0
     with pytest.raises(ResourceError):
-        square_grid_counts(a, 1, 5, level_cap=4)
+        cover_profile(Parameter(0.35), 647)
+    with pytest.raises(ResourceError):
+        square_grid_counts(a, 1, 17)
     with pytest.raises(DomainError):
         square_grid_counts(a, -1, 5)
 
