@@ -5,14 +5,20 @@ outputs embed the parameter, arithmetic mode, seed and tool version; SVG
 output is a single polyline in a unit viewBox with the y axis flipped so
 mathematical up is visual up.
 
-Exit codes: 0 success, 1 usage/domain error, 2 numerical/precision failure.
+A command computes its whole result before its lines are streamed to stdout
+or --out, so a failing command writes nothing.
+
+Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .differentiability import (
@@ -24,15 +30,6 @@ from .differentiability import (
 from .errors import DomainError, OkamotoError, PrecisionError
 from .function import Parameter, eval_digit_series, parse_real, sample_graph
 from .ternary import TernaryExpansion, to_ternary
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _fmt(v) -> str:
@@ -52,21 +49,20 @@ def _header(a: Parameter, seed=None) -> str:
     return "# " + " ".join(parts)
 
 
-def _write(path: str | None, content: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(content)
-    else:
-        with open(path, "w") as fh:
-            fh.write(content)
+def _write(path: str | None, lines) -> None:
+    """Stream each line and a newline to path, or stdout if None or '-', then flush."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+        fh.flush()
 
 
-def _svg_polyline(points) -> str:
+def _svg_polyline(points) -> list[str]:
     coords = " ".join(f"{float(x):.8g},{1 - float(y):.8g}" for x, y in points)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">\n'
-        f'  <polyline fill="none" stroke="black" stroke-width="0.002" points="{coords}"/>\n'
-        "</svg>\n"
-    )
+    return [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
+        f'  <polyline fill="none" stroke="black" stroke-width="0.002" points="{coords}"/>',
+        "</svg>",
+    ]
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -80,37 +76,28 @@ def _parse_levels(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_eval(args) -> int:
-    a = Parameter.parse(args.a, exact=args.exact)
+def cmd_eval(args, a) -> list[str]:
     x = _parse_x(args.x, a, args.digits)
     res = eval_digit_series(a, x, args.tol)
-    lines = [
+    return [
         _header(a),
         f"x_digits = {''.join(map(str, x.digits[:res.digits_used or len(x.digits)]))}",
         f"value = {_fmt(res.value)}",
         f"error_bound = {_fmt(res.error_bound)}",
         f"digits_used = {res.digits_used}",
     ]
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_iterate(args) -> int:
-    a = Parameter.parse(args.a, exact=args.exact)
+def cmd_iterate(args, a):
     pts = sample_graph(a, args.level)
     if args.format == "svg":
-        _write(args.out, _svg_polyline(pts))
-    else:
-        rows = [_header(a), "x,y"]
-        rows += [f"{_fmt(x)},{_fmt(y)}" for x, y in pts]
-        _write(args.out, "\n".join(rows) + "\n")
-    return 0
+        return _svg_polyline(pts)
+    return chain((_header(a), "x,y"), (f"{_fmt(x)},{_fmt(y)}" for x, y in pts))
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args, a) -> list[str]:
     from .geometry import cover_profile, dimension_estimate
 
-    a = Parameter.parse(args.a, exact=args.exact)
     lo, hi = _parse_levels(args.levels)
     est = dimension_estimate(a, lo, hi, method=args.method)
     prof = cover_profile(a, hi)
@@ -123,14 +110,12 @@ def cmd_dim(args) -> int:
     rows.append(f"# method={est.method} slope={est.slope:.17g} "
                 f"intercept={est.intercept:.17g} max_residual={est.max_residual:.3g} "
                 f"reference={est.reference:.17g}")
-    _write(args.out, "\n".join(rows) + "\n")
-    return 0
+    return rows
 
 
-def cmd_arclength(args) -> int:
+def cmd_arclength(args, a) -> list[str]:
     from .geometry import arc_length_profile
 
-    a = Parameter.parse(args.a, exact=args.exact)
     lo, hi = _parse_levels(args.levels)
     prof = arc_length_profile(a, hi)
     rows = [_header(a), "level,euclidean_length,manhattan_length,total_variation"]
@@ -139,12 +124,10 @@ def cmd_arclength(args) -> int:
             f"{i},{prof.euclidean[i]:.17g},{prof.manhattan[i]:.17g},"
             f"{prof.total_variation[i]:.17g}"
         )
-    _write(args.out, "\n".join(rows) + "\n")
-    return 0
+    return rows
 
 
-def cmd_derivative(args) -> int:
-    a = Parameter.parse(args.a, exact=args.exact)
+def cmd_derivative(args, a) -> list[str]:
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
     lines = [_header(a), "m,digit,D_m"]
@@ -153,56 +136,45 @@ def cmd_derivative(args) -> int:
     lines.append(f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
                  f"gamma_estimate={tr.stats.gamma_estimate} "
                  f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
-def cmd_classify(args) -> int:
-    a = Parameter.parse(args.a, exact=args.exact)
+def cmd_classify(args, a) -> list[str]:
     rc = region_classify(a)
-    lines = [
+    return [
         _header(a),
         f"label = {rc.label.value}",
         f"first_derivative = {rc.first_derivative}",
         f"second_derivative = {rc.second_derivative}",
         f"a0 = {rc.a0:.17g}",
     ]
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_a0(args) -> int:
+def cmd_a0(args, a) -> list[str]:
     a0 = find_a0(args.tol)
     residual = 54 * a0**3 - 27 * a0**2 - 1
-    lines = [
+    return [
         f"# version={__version__}",
         f"a0 = {a0:.17g}",
         f"residual = {residual:.3g}",
         f"tol = {args.tol:.3g}",
     ]
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_chaos(args) -> int:
+def cmd_chaos(args, a):
     from .geometry import chaos_game
 
-    a = Parameter.parse(args.a, exact=args.exact)
-    sample = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed)
+    pts = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points
     if args.format == "svg":
-        _write(args.out, _svg_polyline(sample.points))
-    else:
-        rows = [_header(a, seed=args.seed), "x,y,step"]
-        rows += [
-            f"{x:.17g},{y:.17g},{t}" for t, (x, y) in enumerate(sample.points)
-        ]
-        _write(args.out, "\n".join(rows) + "\n")
-    return 0
+        return _svg_polyline(pts)
+    rows = map("{:.17g},{:.17g},{}".format, pts[:, 0].tolist(), pts[:, 1].tolist(),
+               range(len(pts)))
+    return chain((_header(a, seed=args.seed), "x,y,step"), rows)
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, a) -> list[str]:
     summary = digit_frequency_experiment(args.samples, args.digits, args.seed)
-    lines = [
+    return [
         f"# seed={args.seed} version={__version__}",
         f"samples = {summary.samples}",
         f"digits = {summary.n}",
@@ -211,21 +183,18 @@ def cmd_experiment(args) -> int:
         f"max_ratio = {summary.max:.17g}",
         f"fraction_within_0.02 = {summary.fraction_within:.17g}",
     ]
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="okamoto", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="okamoto", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False):
-        sp.add_argument("--a", required=True, help="parameter a: decimal or p/q")
-        sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+    def common(sp, a=True):
+        if a:
+            sp.add_argument("--a", required=True, help="parameter a: decimal or p/q")
+            sp.add_argument("--exact", action="store_true", help="exact rational arithmetic")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("eval", help="evaluate F_a(x) with a certified error bound")
     common(sp)
@@ -263,11 +232,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("a0", help="critical parameter a0 by bisection")
     sp.add_argument("--tol", type=float, default=1e-14)
-    sp.add_argument("--out", default=None)
+    common(sp, a=False)
     sp.set_defaults(fn=cmd_a0)
 
     sp = sub.add_parser("chaos", help="weighted chaos game on the graph")
-    common(sp, seed=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--burn-in", type=int, default=30, dest="burn_in")
     sp.add_argument("--format", choices=("csv", "svg"), default="csv")
@@ -277,19 +247,21 @@ def build_parser() -> _Parser:
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--digits", type=int, default=3000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    common(sp, a=False)
     sp.set_defaults(fn=cmd_experiment)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        a = Parameter.parse(args.a, exact=args.exact) if "a" in args else None
+        _write(args.out, args.fn(args, a))
+        return 0
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help or --version and 2 on a usage error, here 1
+        return 1 if exc.code else 0
     except PrecisionError as exc:
         print(f"okamoto: precision failure: {exc}", file=sys.stderr)
         return 2
@@ -298,6 +270,15 @@ def main(argv=None) -> int:
         return 2
     except (OkamotoError, ValueError) as exc:
         print(f"okamoto: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early: point its descriptor at devnull so that
+        # the interpreter's final flush of the unsent lines raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("okamoto: error: output closed before it was written in full", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"okamoto: error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -163,27 +163,32 @@ def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
 
     exact = a.mode == "exact"
     v = np.asarray(g.vertices, dtype=object if exact else float)
-    d = np.diff(v)
     out = np.empty(3 * (len(v) - 1) + 1, dtype=v.dtype)
     out[0::3] = v
-    out[1::3] = v[:-1] + a.value * d
-    out[2::3] = v[:-1] + (1 - a.value) * d
+    # in place, so the only other array alive is v: d = yR - yL goes into the
+    # third slice, a*d into the second, then (1-a)*d, and yL is added to both
+    d = np.subtract(v[1:], v[:-1], out=out[2::3])
+    np.multiply(d, a.value, out=out[1::3])
+    d *= 1 - a.value
+    out[1::3] += v[:-1]
+    d += v[:-1]
     return IterationGraph(g.level + 1, out.tolist() if exact else out, a)
 
 
 def vertex_bytes(a: Parameter, i: int) -> int:
     """Upper estimate of the memory one level-i vertex takes during construction.
 
-    8 for float64, the returned array; refine's temporaries about double the
-    peak (698 MB at level 16).  For a = p/q a level-i vertex is an integer over
-    q^i, so the numerator and denominator of its Fraction have at most
-    i*bit_length(q) bits.  Peak RSS of construct_iteration above a numpy-loaded
-    baseline (x86-64, CPython 3.11) is 206-207 B per vertex at q = 5 (levels
-    10-12), 261-282 B at q = 10^4 (levels 10-12) and 3.4-3.8 KB at q = 10^300
-    (levels 9-10); 200 + i*bit_length(q)/2 covers each, by 1-37 %.
+    11 for float64: refine's output array and the previous level's, a third
+    its size, peak at 10.7 B per vertex (levels 14 and 15, same baseline as
+    below).  For a = p/q a level-i vertex is an integer over q^i, so the
+    numerator and denominator of its Fraction have at most i*bit_length(q)
+    bits.  Peak RSS of construct_iteration above a numpy-loaded
+    baseline (x86-64, CPython 3.11) is 134-138 B per vertex at q = 5 (levels
+    10-12), 170-173 B at q = 10^4 (levels 10-11) and 2.3-2.5 KB at q = 10^300
+    (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 56-87 %.
     """
     if a.mode == "float":
-        return 8
+        return 11
     return 200 + i * a.value.denominator.bit_length() // 2
 
 

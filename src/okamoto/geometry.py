@@ -109,12 +109,15 @@ def arc_length_profile(a: Parameter, i_max: int) -> LengthProfile:
     so the Euclidean length is a sum of i+1 terms and the Manhattan length
     is 1 + TV_i."""
     levels, s, r, tv = _total_variation(a, i_max)
-    euclid = tuple(
-        math.fsum(math.comb(i, k) * 2.0**k * math.hypot(3.0**-i, s**k * r ** (i - k))
-                  for k in range(i + 1))
-        for i in levels
-    )
-    return LengthProfile(a, levels, euclid, tuple(1.0 + t for t in tv), tv)
+    two_k, s_k, r_k = ([b**k for k in levels] for b in (2.0, s, r))
+    euclid = []
+    for i in levels:
+        c, width, terms = 1, 3.0**-i, []  # c = C(i, k), exactly
+        for k in range(i + 1):
+            terms.append(c * two_k[k] * math.hypot(width, s_k[k] * r_k[i - k]))
+            c = c * (i - k) // (k + 1)
+        euclid.append(math.fsum(terms))
+    return LengthProfile(a, levels, tuple(euclid), tuple(1.0 + t for t in tv), tv)
 
 
 def cover_profile(a: Parameter, i_max: int) -> CoverProfile:

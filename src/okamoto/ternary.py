@@ -53,26 +53,6 @@ class TernaryExpansion:
         """True when the expansion is known to represent x = 1."""
         return self.source is not None and self.source[0] == 3 ** self.source[1]
 
-    def padded(self, n: int) -> "TernaryExpansion":
-        """Extend to n digits using the expansion's known tail.
-
-        Terminating expansions gain zeros; the x = 1 expansion gains 2s.
-        A bare truncation has no known tail and cannot be padded.
-        """
-        if n <= len(self.digits):
-            return self
-        if self.is_one:
-            fill = 2
-        elif not self.is_truncation:
-            fill = 0
-        else:
-            raise DomainError("cannot pad a truncated expansion: tail unknown")
-        return TernaryExpansion(
-            self.digits + (fill,) * (n - len(self.digits)),
-            is_truncation=self.is_truncation,
-            source=self.source,
-        )
-
     def partial_value(self) -> Fraction:
         """Exact value of the digit prefix, sum of d_p / 3^p."""
         acc = 0
@@ -180,13 +160,11 @@ def digit_stats(e: TernaryExpansion, n: int) -> DigitStats:
     if n > len(e.digits):
         raise DomainError(f"prefix length {n} exceeds expansion length {len(e.digits)}")
     ones = 0
-    gamma = None
+    best = None  # (ones(m), m) of the least ratio so far, compared by cross-multiplying
     lo = math.ceil(n / 2)
     for m, d in enumerate(e.digits[:n], start=1):
-        if d == 1:
-            ones += 1
-        if m >= lo:
-            r = Fraction(ones, m)
-            if gamma is None or r < gamma:
-                gamma = r
-    return DigitStats(n=n, ones_count=ones, ratio=Fraction(ones, n), gamma_estimate=gamma)
+        ones += d == 1
+        if m >= lo and (best is None or ones * best[1] < best[0] * m):
+            best = (ones, m)
+    return DigitStats(n=n, ones_count=ones, ratio=Fraction(ones, n),
+                      gamma_estimate=Fraction(*best))

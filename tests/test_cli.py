@@ -13,12 +13,15 @@ from okamoto.cli import main
 SRC = str(Path(okamoto.__file__).resolve().parents[1])
 
 
-def run_process(*args):
-    """A fresh interpreter that imports okamoto from this checkout."""
+def process_env():
+    """Environment of a fresh interpreter that imports okamoto from this checkout."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
+def run_process(*args, cwd=None):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=process_env(), cwd=cwd, timeout=60)
 
 
 def run(capsys, *argv):
@@ -82,13 +85,36 @@ def test_eval_precision_exit_code(capsys):
     (["dim", "--a", "0.9", "--levels", "1..346"], 1),  # box count past the float range
     (["iterate", "--a", "3/5", "--level", "14"], 1),  # over the construction budget
     (["iterate", "--a", "0.4", "--level", "1000000000"], 1),
+    (["arclength", "--a", "0.6", "--out", "/nonexistent/dir/f.csv"], 1),
+    (["arclength", "--a", "0.6", "--out", "."], 1),  # the working directory
 ])
-def test_eval_bad_input_exits_with_one_line(argv, code):
-    proc = run_process("-m", "okamoto.cli", *argv)
+def test_eval_bad_input_exits_with_one_line(argv, code, tmp_path):
+    proc = run_process("-m", "okamoto.cli", *argv, cwd=tmp_path)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("okamoto: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+    assert not any(tmp_path.iterdir()) and not os.path.exists("/nonexistent/dir/f.csv")
+
+
+@pytest.mark.parametrize("argv, read_first", [
+    (["chaos", "--a", "0.7", "--n", "300000"], True),  # megabytes: more than a pipe holds
+    (["classify", "--a", "0.7"], False),  # the reader is gone before the first write
+])
+def test_closed_pipe_exits_with_one_line(argv, read_first):
+    env = process_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as from a plain shell
+    r, w = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "okamoto.cli", *argv], stdout=w,
+                            stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    with open(r, "rb") as reader:
+        if read_first:
+            assert reader.readline().startswith(b"# a=")
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert err.startswith("okamoto: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_a0_nan_tol_exits_with_one_line():
@@ -257,11 +283,23 @@ GOLDEN = [
      "0b86a1988dfd96a75a4fd83c746cf6ad2c8533ccf709b568c07f0ebd8c5ab04b"),
     ("a0",
      "1068fad5b00c67c9085047914bd668c1614a4a4589a575c2b53002cba40ff1b9"),
+    ("experiment --samples 20 --digits 500 --seed 3",
+     "4d1b367962b3b6be85485d78af840e4e438b84b7502fb211a71c9d7455b6844d"),
+    ("derivative --a 1/3 --x 2/9 --n 12",
+     "809caebe32c0a86dd06f403fbb08dd47e99d9dd227c40273d6e64f0b0bc1afba"),
 ]
 
 
-@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_cli_output_matches_golden_digest(capsys, command, digest):
-    code, out, _ = run(capsys, *command.split())
+@pytest.mark.parametrize("command, digest, to_file", [
+    *(pytest.param(c, d, False, id=c) for c, d in GOLDEN),
+    *(pytest.param(c, d, True, id=c + " --out") for c, d in GOLDEN),
+])
+def test_cli_output_matches_golden_digest(capsys, tmp_path, command, digest, to_file):
+    path = tmp_path / "f"
+    code, out, _ = run(capsys, *command.split(), *(["--out", str(path)] if to_file else []))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    data = out.encode()
+    if to_file:
+        assert out == ""
+        data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

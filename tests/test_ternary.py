@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okamoto import DomainError, digit_stats, ternary_rational, to_ternary
 from okamoto.ternary import TernaryExpansion
@@ -102,6 +105,16 @@ def test_digit_stats_gamma_is_min_over_last_half():
     assert s.gamma_estimate == Fraction(3, 8)
 
 
+@settings(max_examples=300, deadline=None)
+@given(digits=st.lists(st.integers(0, 2), min_size=1, max_size=60), data=st.data())
+def test_digit_stats_gamma_matches_fraction_minimum(digits, data):
+    n = data.draw(st.integers(1, len(digits)))
+    ones = [sum(d == 1 for d in digits[:m]) for m in range(n + 1)]
+    s = digit_stats(TernaryExpansion(tuple(digits)), n)
+    assert s.ones_count == ones[n] and s.ratio == Fraction(ones[n], n)
+    assert s.gamma_estimate == min(Fraction(ones[m], m) for m in range(math.ceil(n / 2), n + 1))
+
+
 def test_digit_stats_rejects_bad_prefix():
     e = TernaryExpansion((0, 1))
     with pytest.raises(DomainError):
@@ -113,12 +126,3 @@ def test_digit_stats_rejects_bad_prefix():
 def test_invalid_digits_rejected():
     with pytest.raises(DomainError):
         TernaryExpansion((0, 3))
-
-
-def test_padded_terminating_and_one():
-    e = ternary_rational(5, 2)
-    assert e.padded(6).digits == (1, 2, 0, 0, 0, 0)
-    one = ternary_rational(9, 2)
-    assert one.padded(5).digits == (2,) * 5
-    with pytest.raises(DomainError):
-        TernaryExpansion((0, 1), is_truncation=True).padded(4)
