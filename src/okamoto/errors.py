@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the memory budget shared by all modules."""
+
+#: Most bytes one call may spend on what it builds: the vertices of one level,
+#: digits, a trace, chaos points (512 MiB).
+CONSTRUCTION_BUDGET = 2**29
 
 
 class OkamotoError(Exception):
@@ -25,3 +29,9 @@ class PrecisionError(OkamotoError, ArithmeticError):
     def __init__(self, message: str, achievable: float | None = None):
         super().__init__(message)
         self.achievable = achievable
+
+
+def check_budget(need: int, what: str, detail: str) -> None:
+    """Refuse, before anything is allocated, a call estimated to need over CONSTRUCTION_BUDGET bytes."""
+    if need > CONSTRUCTION_BUDGET:
+        raise ResourceError(f"{what} needs over {CONSTRUCTION_BUDGET >> 20} MiB: {detail}")

@@ -23,11 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import CONSTRUCTION_BUDGET, DomainError, PrecisionError, check_budget
 from .ternary import TernaryExpansion
-
-#: Most bytes construct_iteration may spend on the vertices of one level (512 MiB).
-CONSTRUCTION_BUDGET = 2**29
 
 
 def parse_real(text: str, exact: bool, name: str) -> Fraction | float:
@@ -62,10 +59,6 @@ class Parameter:
 
     def as_float(self) -> float:
         return float(self.value)
-
-    def is_exactly(self, p: int, q: int) -> bool:
-        """Whether a equals p/q in this parameter's own arithmetic."""
-        return self.value == self.frac(p, q)
 
     @cached_property
     def _series(self) -> tuple:
@@ -201,11 +194,8 @@ def construct_iteration(a: Parameter, i: int) -> IterationGraph:
         raise DomainError("level must be >= 0")
     each = vertex_bytes(a, i)
     # 3^17 float64 vertices are already over budget, so no larger power of 3 is formed
-    if (3 ** min(i, 17) + 1) * each > CONSTRUCTION_BUDGET:
-        raise ResourceError(
-            f"level {i} needs over {CONSTRUCTION_BUDGET >> 20} MiB: 3^{i} + 1 vertices "
-            f"of about {each} bytes each"
-        )
+    check_budget((3 ** min(i, 17) + 1) * each, f"level {i}",
+                 f"3^{i} + 1 vertices of about {each} bytes each")
     g = level_zero(a)
     for _ in range(i):
         g = refine(g, a)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 
 # Snap thresholds for float digit extraction.  The remainder is scaled by 3
 # at every step, so the guard that recognises "this float really encodes a
@@ -102,9 +102,13 @@ def to_ternary(x, n: int) -> TernaryExpansion:
     Exact inputs (Fraction/int) are expanded exactly; floats go through the
     snap guard so that binary representations of ternary rationals come out
     terminating.  x = 1 yields all 2s.
+
+    Each digit takes 16 bytes at the peak, a pointer in the working list and
+    one in the returned tuple (16.0 B measured at n = 4e6, x = 1/7).
     """
     if n < 1:
         raise DomainError("digit count must be >= 1")
+    check_budget(16 * n, f"{n} digits of x", "16 bytes each")
     if not 0 <= x <= 1:
         raise DomainError(f"x = {x} outside [0, 1]")
     if x == 1:

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import okamoto
 from okamoto.cli import main
@@ -145,6 +151,75 @@ assert {"geometry", "chaos_game", "square_grid_counts", "MassSample"} <= set(oka
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("av", ("3/5", "0.6"), ids=("exact", "float"))
+def test_derivative_reports_divergence_in_both_modes(capsys, av):
+    code, out, err = run(capsys, "derivative", "--a", av, "--x", "0", "--n", "1300")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(" diverged=True")
+
+
+def test_size_limits_exit_with_one_line(capsys):
+    start = time.perf_counter()
+    for argv in (["eval", "--a", "0.6", "--x", "0.3", "--digits", "1000000000000"],
+                 ["derivative", "--a", "0.4", "--x", "0.3", "--n", "1000000000000"],
+                 ["derivative", "--a", "3/5", "--x", "0", "--n", "100000"],  # about 5 GB exact
+                 ["chaos", "--a", "0.7", "--n", "1000000000000"],
+                 ["experiment", "--samples", "1000000000000"],
+                 ["experiment", "--digits", "1000000000000"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("okamoto: error: ") and err.count("\n") == 1, argv
+    assert time.perf_counter() - start < 1
+
+
+_JUNK = st.text(max_size=8)
+_REAL = st.one_of(st.floats(0, 1).map(repr), st.integers(-1, 10).map(str),
+                  st.builds("{}/{}".format, st.integers(-1, 30), st.integers(0, 30)), _JUNK)
+_TOL = st.one_of(st.floats().map(repr), _JUNK)
+_LEVELS = st.one_of(st.builds("{}..{}".format, st.integers(-1, 8), st.integers(-1, 8)), _JUNK)
+_SMALL = st.integers(-2, 2000).map(str)
+
+
+def _command(name, a=True, **options):
+    """argv of one subcommand: each option left out or given a drawn value."""
+    parts = [st.just([name])]
+    if a:
+        parts += [st.sampled_from(([], ["--exact"]))]
+        options = {"a": _REAL, **options}
+    parts += [st.one_of(st.just([]), value.map(lambda v, k=k: [f"--{k}", v]))
+              for k, value in options.items()]
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+_ARGV = st.one_of(
+    _command("eval", x=_REAL, tol=_TOL, digits=_SMALL),
+    _command("iterate", level=st.integers(-2, 8).map(str),
+             format=st.sampled_from(("csv", "svg", "npy"))),
+    _command("dim", levels=_LEVELS, method=st.sampled_from(("column", "square", "x"))),
+    _command("arclength", levels=_LEVELS),
+    _command("derivative", x=_REAL, n=_SMALL),
+    _command("classify"),
+    _command("a0", a=False, tol=_TOL),
+    _command("chaos", n=_SMALL, seed=_SMALL, format=st.just("svg")),
+    _command("experiment", a=False, samples=st.integers(-1, 20).map(str), digits=_SMALL,
+             seed=_SMALL),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_ARGV, to_file=st.booleans())
+def test_cli_fuzz_exits_0_1_or_2_with_one_line(argv, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        if to_file:
+            argv = argv + ["--out", os.path.join(tmp, "f")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.getvalue().splitlines()[-1].startswith("okamoto"), argv
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "eval", "--a", "0.5")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
@@ -280,7 +355,7 @@ GOLDEN = [
     ("derivative --a 0.6 --x 0.3 --n 40",
      "9d2df4b76afc19f6a093503218a8c66dbac705eddd015d275a8a220ebff99ae3"),
     ("classify --a 1/3",
-     "0b86a1988dfd96a75a4fd83c746cf6ad2c8533ccf709b568c07f0ebd8c5ab04b"),
+     "0b15e7f8fea1e158b50648929341f92d0e1c354ecd36d63a02176d9f545b9139"),
     ("a0",
      "1068fad5b00c67c9085047914bd668c1614a4a4589a575c2b53002cba40ff1b9"),
     ("experiment --samples 20 --digits 500 --seed 3",

@@ -1,7 +1,10 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from okamoto import (
@@ -10,6 +13,7 @@ from okamoto import (
     Parameter,
     PrecisionError,
     RegionLabel,
+    ResourceError,
     UnsupportedRegionError,
     classify_limit,
     critical_a0,
@@ -219,3 +223,100 @@ def test_experiment_rejects_bad_args():
         digit_frequency_experiment(0, 10, 1)
     with pytest.raises(DomainError):
         digit_frequency_experiment(10, 0, 1)
+
+
+def _a0_mpmath():
+    """a0 to 300 bits, from mpmath's solver rather than the library's bisection."""
+    with mpmath.workprec(300):
+        return mpmath.findroot(lambda w: 54 * w**3 - 27 * w**2 - 1, mpmath.mpf("0.5592"))
+
+
+def test_critical_a0_is_the_float_nearest_the_root():
+    root = _a0_mpmath()
+    a0 = critical_a0()
+    assert a0 == float(root) == 0.5592168996013533
+    with mpmath.workprec(300):
+        for other in (math.nextafter(a0, 0), math.nextafter(a0, 1)):
+            assert abs(mpmath.mpf(other) - root) > abs(mpmath.mpf(a0) - root)
+
+
+_E30, _E25 = Fraction(1, 10**30), Fraction(1, 10**25)
+_A0 = Fraction(mpmath.nstr(_a0_mpmath(), 60))  # within 1e-59 of a0
+
+
+@pytest.mark.parametrize("av, label, family", [
+    (Fraction(1, 3) - _E30, RegionLabel.AE_DIFFERENTIABLE, "half-grid"),
+    (Fraction(1, 3) + _E30, RegionLabel.AE_DIFFERENTIABLE, "grid"),
+    (Fraction(1, 2) - _E30, RegionLabel.AE_DIFFERENTIABLE, "grid"),
+    (Fraction(1, 2) + _E30, RegionLabel.AE_DIFFERENTIABLE, "grid"),
+    (_A0 - _E25, RegionLabel.AE_DIFFERENTIABLE, "grid"),
+    (_A0 + _E25, RegionLabel.AE_NONDIFFERENTIABLE, None),
+    (Fraction(2, 3) - _E30, RegionLabel.AE_NONDIFFERENTIABLE, None),
+    (Fraction(2, 3) + _E30, RegionLabel.NOWHERE_DIFFERENTIABLE, None),
+], ids=("1/3-", "1/3+", "1/2-", "1/2+", "a0-", "a0+", "2/3-", "2/3+"))
+def test_exact_parameter_next_to_a_boundary(av, label, family):
+    # each a rounds to the boundary's float, so only exact comparisons place it
+    a = Parameter(av)
+    assert region_classify(a).label is label
+    if family is None:
+        with pytest.raises(UnsupportedRegionError):
+            nondiff_points(a, 1)
+    else:
+        expected = ([Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)] if family == "half-grid"
+                    else [Fraction(k, 3) for k in range(4)])
+        assert nondiff_points(a, 1) == expected
+
+
+def test_float_labels_against_mpmath_a0():
+    # 1/3, 1/2 and 2/3 are compared in float; a0 at 300 bits, so the floats
+    # 0.5592168996013533 and ...535, above a0, are ae-nondifferentiable
+    a0 = _a0_mpmath()
+    rng = random.Random(8)
+    values = [rng.random() for _ in range(3000)]
+    for centre in (1 / 3, 0.5, critical_a0(), 2 / 3):
+        v = centre
+        for _ in range(40):
+            v = math.nextafter(v, 0)
+        for _ in range(81):
+            values.append(v)
+            v = math.nextafter(v, 1)
+    assert {0.5592168996013533, 0.5592168996013535} < set(values)
+    for av in values:
+        if av == 1 / 3:
+            label = RegionLabel.IDENTITY
+        elif av == 0.5:
+            label = RegionLabel.CANTOR
+        elif av >= 2 / 3:
+            label = RegionLabel.NOWHERE_DIFFERENTIABLE
+        elif mpmath.mpf(av) > a0:
+            label = RegionLabel.AE_NONDIFFERENTIABLE
+        else:
+            label = RegionLabel.AE_DIFFERENTIABLE
+        a = Parameter(av)
+        assert region_classify(a).label is label, av
+        if label is RegionLabel.AE_DIFFERENTIABLE:
+            assert len(nondiff_points(a, 1)) == (3 if av < 1 / 3 else 4), av
+        else:
+            with pytest.raises(UnsupportedRegionError):
+                nondiff_points(a, 1)
+
+
+@pytest.mark.parametrize("av", (Fraction(3, 5), 0.6), ids=("exact", "float"))
+def test_trace_divergence_in_both_modes(av):
+    # D_m = (9/5)^m passes the float range at m = 1208
+    tr = derivative_trace(Parameter(av), TernaryExpansion((0,) * 1300), 1300)
+    assert tr.diverged
+    assert abs(tr.values[1206]) <= sys.float_info.max < abs(tr.values[1207])
+    assert tr.max_abs == pytest.approx(1.8**1207, rel=1e-12)
+
+
+def test_size_checks_refuse_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        digit_frequency_experiment(10**12, 10, 0)
+    with pytest.raises(ResourceError):
+        digit_frequency_experiment(10, 10**12, 0)
+    # an exact trace grows quadratically: 10^5 values at q = 5 need about 5 GB
+    with pytest.raises(ResourceError):
+        derivative_trace(Parameter(Fraction(3, 5)), TernaryExpansion((0,) * 10**5), 10**5)
+    assert time.perf_counter() - start < 1

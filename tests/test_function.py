@@ -307,6 +307,27 @@ def test_refine_matches_segment_loop(a, exact_mode):
             assert g.vertices.tobytes() == np.array(ref).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=_a_fraction, x=st.integers(0, 8).flatmap(
+    lambda i: st.tuples(st.integers(0, 3**i), st.just(i))))
+@example(a=Fraction(1, 2), x=(1, 1))  # 2a - 1 = 0
+@example(a=Fraction(2, 3), x=(1, 0))  # x = 1
+def test_ifs_functional_equations_exact(a, x):
+    # F(x/3) = aF(x), F((2+x)/3) = (1-a) + aF(x) and F((2-x)/3) = (1-a) + (2a-1)F(x)
+    # at x = k/3^i; tol = 10^-200 is below any bound that 9 digits leave at
+    # q <= 10^4, so every value is the exact sum
+    def F(k, i):
+        r = eval_digit_series(Parameter(a), ternary_rational(k, i), Fraction(1, 10**200))
+        assert r.error_bound == 0
+        return r.value
+
+    k, i = x
+    fx = F(k, i)
+    assert F(k, i + 1) == a * fx
+    assert F(2 * 3**i + k, i + 1) == (1 - a) + a * fx
+    assert F(2 * 3**i - k, i + 1) == (1 - a) + (2 * a - 1) * fx
+
+
 def test_eval_rejects_nan_tol():
     for a in (exact(3, 5), Parameter(0.6)):
         with pytest.raises(DomainError):

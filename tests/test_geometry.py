@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -212,6 +213,14 @@ def test_chaos_game_rejects_low_a_and_bad_n():
         chaos_game(Parameter(0.4), 10)
     with pytest.raises(DomainError):
         chaos_game(Parameter(0.6), 0)
+
+
+def test_chaos_game_refuses_a_point_count_over_budget():
+    start = time.perf_counter()
+    for n, burn_in in ((10**12, 30), (1, 10**12)):
+        with pytest.raises(ResourceError):
+            chaos_game(Parameter(0.7), n, burn_in=burn_in)
+    assert time.perf_counter() - start < 1
 
 
 def test_chaos_game_deterministic():

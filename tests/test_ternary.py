@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okamoto import DomainError, digit_stats, ternary_rational, to_ternary
+from okamoto import DomainError, ResourceError, digit_stats, ternary_rational, to_ternary
 from okamoto.ternary import TernaryExpansion
 
 
@@ -126,3 +127,11 @@ def test_digit_stats_rejects_bad_prefix():
 def test_invalid_digits_rejected():
     with pytest.raises(DomainError):
         TernaryExpansion((0, 3))
+
+
+def test_to_ternary_refuses_a_digit_count_over_budget():
+    start = time.perf_counter()
+    for x in (0.3, Fraction(1, 7), 1):
+        with pytest.raises(ResourceError):
+            to_ternary(x, 10**12)
+    assert time.perf_counter() - start < 1
