@@ -31,6 +31,8 @@ from .errors import DomainError, OkamotoError, PrecisionError
 from .function import Parameter, eval_digit_series, parse_real, sample_graph
 from .ternary import TernaryExpansion, to_ternary
 
+_CHAOS_SLICE = 16384  # chaos CSV rows formatted at a time; whole columns take 64 B a point
+
 
 def _fmt(v) -> str:
     if isinstance(v, Fraction):
@@ -167,8 +169,11 @@ def cmd_chaos(args, a):
     pts = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points
     if args.format == "svg":
         return _svg_polyline(pts)
-    rows = map("{:.17g},{:.17g},{}".format, pts[:, 0].tolist(), pts[:, 1].tolist(),
-               range(len(pts)))
+    rows = chain.from_iterable(
+        map("{:.17g},{:.17g},{}".format, *pts[s:s + _CHAOS_SLICE].T.tolist(),
+            range(s, s + _CHAOS_SLICE))
+        for s in range(0, len(pts), _CHAOS_SLICE)
+    )
     return chain((_header(a, seed=args.seed), "x,y,step"), rows)
 
 

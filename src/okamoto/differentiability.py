@@ -11,7 +11,6 @@ r(a, gamma) = 3 |1-2a|^gamma a^(1-gamma) with gamma the liminf digit ratio.
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,46 +144,43 @@ def classify_limit(a: Parameter, gamma: float) -> LimitClass:
     return LimitClass.OSCILLATES
 
 
-def find_a0(tol: float) -> float:
-    """The unique root of 54a^3 - 27a^2 - 1 = 0 in (1/2, 2/3), by bisection.
-
-    The bracket is shrunk until its width is <= tol; g(1/2) = -1 < 0 and
-    g(2/3) = 3 > 0 guarantee the root is inside throughout."""
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    lo, hi = 0.5, 2 / 3
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise PrecisionError(
-                f"tol {tol:.3g} is below float resolution near the root",
-                achievable=hi - lo,
-            )
-        if 54 * mid**3 - 27 * mid**2 - 1 < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _cubic(w: Fraction) -> Fraction:
     """54w^3 - 27w^2 - 1, exactly: on (0, 1) it is negative below a0 and positive above."""
     return 54 * w**3 - 27 * w**2 - 1
 
 
-@cache
-def critical_a0() -> float:
-    """The float nearest a0, computed once.
-
-    Bisection over floats on the exact sign of the cubic ends at two adjacent
-    floats around a0; the cubic's sign at their exact midpoint picks the nearer."""
+def _a0_bracket(tol: float) -> tuple[float, float]:
+    """Floats lo < hi around a0, by bisection on the cubic's exact sign from
+    (1/2, 2/3), where it goes from -1 to 3, down to width <= tol or adjacent floats."""
     lo, hi = 0.5, 2 / 3
-    while math.nextafter(lo, 1) < hi:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _cubic(Fraction(mid)) < 0:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def find_a0(tol: float) -> float:
+    """The unique root of 54a^3 - 27a^2 - 1 = 0 in (1/2, 2/3): the midpoint of
+    a bracket of width <= tol."""
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    lo, hi = _a0_bracket(tol)
+    if hi - lo > tol:
+        raise PrecisionError(f"tol {tol:.3g} is below float resolution near the root",
+                             achievable=hi - lo)
+    return 0.5 * (lo + hi)
+
+
+@cache
+def critical_a0() -> float:
+    """The float nearest a0, computed once: the cubic's sign at the exact
+    midpoint of the two adjacent floats around a0 picks the nearer."""
+    lo, hi = _a0_bracket(0.0)
     return lo if _cubic((Fraction(lo) + Fraction(hi)) / 2) > 0 else hi
 
 

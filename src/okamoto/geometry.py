@@ -248,7 +248,7 @@ def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) ->
     edges = np.linspace(0.0, 1.0, m + 1)
     hist, _, _ = np.histogram2d(sample.points[:, 0], sample.points[:, 1], bins=(edges, edges))
     mu = hist / len(sample.points)
-    s = math.log(12 * af - 3) / math.log(3)
+    s = dimension_reference(sample.a)
     bound = (12 * af - 3) * (SQRT2 * 3.0**-grid_level) ** s
     ratios = mu / bound
     flagged = tuple(

@@ -76,7 +76,10 @@ class DigitStats:
 
 
 def _extract_digits(num: int, den: int, n: int, snap: bool):
-    """Digits of num/den by repeated multiply-by-3, optionally snapping."""
+    """Digits of num/den by repeated multiply-by-3, optionally snapping.
+
+    Returns the n digits and the position of the last one that a terminating
+    expansion needs (after which all are zero), or None if it does not end."""
     digits = []
     for p in range(1, n + 1):
         num *= 3
@@ -92,8 +95,8 @@ def _extract_digits(num: int, den: int, n: int, snap: bool):
         num -= d * den
         if num == 0:
             digits.extend([0] * (n - p))
-            return digits, True
-    return digits, False
+            return digits, p
+    return digits, None
 
 
 def to_ternary(x, n: int) -> TernaryExpansion:
@@ -113,25 +116,21 @@ def to_ternary(x, n: int) -> TernaryExpansion:
         raise DomainError(f"x = {x} outside [0, 1]")
     if x == 1:
         return TernaryExpansion((2,) * n, is_truncation=True, source=(3**n, n))
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-        snap = False
-    elif isinstance(x, int):
-        num, den, snap = x, 1, False
+    if isinstance(x, (Fraction, int)):
+        num, den, snap = x.numerator, x.denominator, False
     else:
         num, den = float(x).as_integer_ratio()
         snap = True
-    digits, terminated = _extract_digits(num, den, n, snap)
+    digits, end = _extract_digits(num, den, n, snap)
     source = None
-    if terminated:
+    if end is not None:
         k = 0
-        depth = 0
-        for p, d in enumerate(digits, start=1):
+        for d in digits[:end]:
             k = 3 * k + d
-            if d:
-                depth = p
-        source = (k // 3 ** (n - depth), depth)
-    return TernaryExpansion(tuple(digits), is_truncation=not terminated, source=source)
+        while end and k % 3 == 0:  # x = 0 and a snap to 0 end on a 0 digit
+            k, end = k // 3, end - 1
+        source = (k, end)
+    return TernaryExpansion(tuple(digits), is_truncation=end is None, source=source)
 
 
 def ternary_rational(k: int, i: int) -> TernaryExpansion:
@@ -144,13 +143,8 @@ def ternary_rational(k: int, i: int) -> TernaryExpansion:
         raise DomainError(f"k = {k} out of range for level i = {i}")
     if k == 3**i:
         return TernaryExpansion((2,) * i, is_truncation=True, source=(k, i))
-    ds = []
-    kk = k
-    for _ in range(i):
-        kk, r = divmod(kk, 3)
-        ds.append(r)
-    ds.reverse()
-    return TernaryExpansion(tuple(ds), is_truncation=False, source=(k, i))
+    digits, _ = _extract_digits(k, 3**i, i, False)
+    return TernaryExpansion(tuple(digits), is_truncation=False, source=(k, i))
 
 
 def digit_stats(e: TernaryExpansion, n: int) -> DigitStats:

@@ -24,6 +24,16 @@ def cantor_value(digits):
     return v
 
 
+def ternary_digits_reference(k: int, i: int) -> tuple:
+    """The i ternary digits of k / 3^i, for 0 <= k < 3^i: the base-3 numeral
+    of k, read off by repeated divmod."""
+    ds = []
+    for _ in range(i):
+        k, r = divmod(k, 3)
+        ds.append(r)
+    return tuple(reversed(ds))
+
+
 def okamoto_recursive(a: Fraction, x: Fraction, depth: int) -> Fraction:
     """Evaluate F_a at a ternary rational by direct interval subdivision.
 

@@ -123,6 +123,30 @@ def test_closed_pipe_exits_with_one_line(argv, read_first):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# Runs argv and prints its exit code and ru_maxrss.  A child's ru_maxrss
+# starts at its parent's resident size at fork time, so the child is started
+# from this small interpreter rather than from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_chaos_csv_memory_grows_at_most_28_bytes_a_point(tmp_path):
+    def peak_bytes(n):
+        proc = run_process("-c", _PEAK_RSS, sys.executable, "-m", "okamoto.cli", "chaos",
+                           "--a", "2/3", "--n", str(n), "--out", str(tmp_path / "f"))
+        code, maxrss = map(int, proc.stdout.split())
+        assert code == 0
+        return maxrss * (1 if sys.platform == "darwin" else 1024)  # KiB on Linux
+
+    n = 400_000
+    assert (peak_bytes(n) - peak_bytes(1)) / n <= 28
+
+
 def test_a0_nan_tol_exits_with_one_line():
     proc = run_process("-m", "okamoto.cli", "a0", "--tol", "nan")
     assert proc.returncode == 1

@@ -240,6 +240,17 @@ def test_critical_a0_is_the_float_nearest_the_root():
             assert abs(mpmath.mpf(other) - root) > abs(mpmath.mpf(a0) - root)
 
 
+def test_find_a0_is_within_half_a_tolerance_of_the_root():
+    root = _a0_mpmath()
+    with mpmath.workprec(300):
+        for e in range(1, 16):
+            tol = 10.0**-e
+            assert abs(mpmath.mpf(find_a0(tol)) - root) <= mpmath.mpf(tol) / 2
+    with pytest.raises(PrecisionError) as info:
+        find_a0(1e-20)
+    assert info.value.achievable == 2**-53
+
+
 _E30, _E25 = Fraction(1, 10**30), Fraction(1, 10**25)
 _A0 = Fraction(mpmath.nstr(_a0_mpmath(), 60))  # within 1e-59 of a0
 

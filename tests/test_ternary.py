@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from okamoto import DomainError, ResourceError, digit_stats, ternary_rational, to_ternary
 from okamoto.ternary import TernaryExpansion
+from oracles import ternary_digits_reference
 
 
 def test_to_ternary_zero():
@@ -77,6 +78,23 @@ def test_round_trip_exact_fraction_input():
         e = to_ternary(Fraction(k, 3**i), i)
         assert e.digits == ternary_rational(k, i).digits
         assert not e.is_truncation
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, 12), data=st.data())
+def test_source_of_ternary_rationals(i, data):
+    k = data.draw(st.integers(0, 3**i - 1), label="k")
+    n = data.draw(st.integers(max(i, 1), i + 20), label="n")
+    digits = ternary_digits_reference(k, i)
+    e = ternary_rational(k, i)
+    assert (e.digits, e.is_truncation, e.source) == (digits, False, (k, i))
+    f = Fraction(k, 3**i)  # k / 3^i in lowest terms
+    source = (f.numerator, round(math.log(f.denominator, 3)))
+    for x in (f, k / 3**i):
+        e = to_ternary(x, n)
+        assert (e.digits, e.is_truncation, e.source) == (digits + (0,) * (n - i), False, source)
+    for x in (0, 5e-324):
+        assert to_ternary(x, n).source == (0, 0)
 
 
 def test_digit_stats_direct_count():
