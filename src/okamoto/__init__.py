@@ -5,8 +5,6 @@ differentiability classification, and fractal-dimension measurement."""
 
 __version__ = "0.1.0"
 
-from importlib import import_module as _import_module
-
 from .errors import (
     DomainError,
     OkamotoError,
@@ -47,29 +45,19 @@ from .differentiability import (
     region_classify,
 )
 
-# geometry needs numpy; it is imported on first use of one of its names, so
-# that evaluation, classification and the CLI start without numpy
-_GEOMETRY = (
-    "CoverProfile",
-    "DimensionEstimate",
-    "LengthProfile",
-    "MassBoundReport",
-    "MassSample",
-    "arc_length_profile",
-    "chaos_game",
-    "chaos_weights",
-    "cover_profile",
-    "dimension_estimate",
-    "mass_bound_check",
-    "square_grid_counts",
+from .geometry import (
+    CoverProfile,
+    DimensionEstimate,
+    LengthProfile,
+    MassBoundReport,
+    MassSample,
+    arc_length_profile,
+    chaos_game,
+    chaos_weights,
+    cover_profile,
+    dimension_estimate,
+    mass_bound_check,
+    square_grid_counts,
 )
 
-
-def __getattr__(name):
-    if name == "geometry" or name in _GEOMETRY:
-        geometry = _import_module(".geometry", __name__)
-        return geometry if name == "geometry" else getattr(geometry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"geometry", *_GEOMETRY})
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

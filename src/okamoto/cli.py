@@ -3,10 +3,11 @@
 Every command is deterministic given its full flag set.  CSV and text
 outputs embed the parameter, arithmetic mode, seed and tool version; SVG
 output is a single polyline in a unit viewBox with the y axis flipped so
-mathematical up is visual up.
+mathematical up is visual up, one point a line.
 
 A command computes its whole result before its lines are streamed to stdout
-or --out, so a failing command writes nothing.
+or --out, so a failing command writes nothing.  Tables and polylines are
+formatted from their columns a slice at a time as they are written.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
@@ -18,7 +19,6 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
 
 from . import __version__
 from .differentiability import (
@@ -28,16 +28,29 @@ from .differentiability import (
     region_classify,
 )
 from .errors import DomainError, OkamotoError, PrecisionError
-from .function import Parameter, eval_digit_series, parse_real, sample_graph
+from .function import Parameter, construct_iteration, eval_digit_series, parse_real
+from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
 
-_CHAOS_SLICE = 16384  # chaos CSV rows formatted at a time; whole columns take 64 B a point
+_SLICE = 16384  # rows formatted at a time; whole numpy columns as lists take 32 B a value
+_SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
+             '  <polyline fill="none" stroke="black" stroke-width="0.002" points="')
 
 
-def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return f"{float(v):.17g}"
+def _num(a: Parameter, i: int) -> str:
+    """Format field of column i in a's mode: p/q if exact, 17 significant digits if float."""
+    return f"{{{i}.numerator}}/{{{i}.denominator}}" if a.mode == "exact" else f"{{{i}:.17g}}"
+
+
+def _table(head, fmt: str, columns, tail=()):
+    """The head lines, fmt.format of each row of equally long columns, the tail lines.
+
+    Rows go _SLICE at a time, numpy slices through .tolist(), so no text exists whole."""
+    yield from head
+    for s in range(0, len(columns[0]), _SLICE):
+        part = [c[s:s + _SLICE] for c in columns]
+        yield from map(fmt.format, *(c.tolist() if hasattr(c, "tolist") else c for c in part))
+    yield from tail
 
 
 def _parse_x(text: str, a: Parameter, digits: int) -> TernaryExpansion:
@@ -46,9 +59,7 @@ def _parse_x(text: str, a: Parameter, digits: int) -> TernaryExpansion:
 
 
 def _header(a: Parameter, seed=None) -> str:
-    parts = [f"a={a}", f"mode={a.mode}", f"seed={seed if seed is not None else 'none'}",
-             f"version={__version__}"]
-    return "# " + " ".join(parts)
+    return f"# a={a} mode={a.mode} seed={'none' if seed is None else seed} version={__version__}"
 
 
 def _write(path: str | None, lines) -> None:
@@ -58,13 +69,11 @@ def _write(path: str | None, lines) -> None:
         fh.flush()
 
 
-def _svg_polyline(points) -> list[str]:
-    coords = " ".join(f"{float(x):.8g},{1 - float(y):.8g}" for x, y in points)
-    return [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
-        f'  <polyline fill="none" stroke="black" stroke-width="0.002" points="{coords}"/>',
-        "</svg>",
-    ]
+def _svg(x, y):
+    """The points (x, y) as one polyline in the unit square, one a line, y flipped to 1 - y."""
+    y *= -1  # in place, so no third array exists: -y + 1 has the same bits as 1 - y
+    y += 1
+    return _table(_SVG_HEAD, "{:.8g},{:.8g}", (x, y), ('"/>', "</svg>"))
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -84,61 +93,54 @@ def cmd_eval(args, a) -> list[str]:
     return [
         _header(a),
         f"x_digits = {''.join(map(str, x.digits[:res.digits_used or len(x.digits)]))}",
-        f"value = {_fmt(res.value)}",
-        f"error_bound = {_fmt(res.error_bound)}",
+        f"value = {_num(a, 0).format(res.value)}",
+        f"error_bound = {_num(a, 0).format(res.error_bound)}",
         f"digits_used = {res.digits_used}",
     ]
 
 
 def cmd_iterate(args, a):
-    pts = sample_graph(a, args.level)
+    import numpy as np
+
+    y = construct_iteration(a, args.level).vertices
+    n = 3**args.level
+    x = np.arange(n + 1) / n  # the same bits as k / n for n <= 2^53
     if args.format == "svg":
-        return _svg_polyline(pts)
-    return chain((_header(a), "x,y"), (f"{_fmt(x)},{_fmt(y)}" for x, y in pts))
+        return _svg(x, np.asarray(y, dtype=float))
+    if a.mode == "exact":
+        x = [Fraction(k, n) for k in range(n + 1)]
+    return _table((_header(a), "x,y"), f"{_num(a, 0)},{_num(a, 1)}", (x, y))
 
 
-def cmd_dim(args, a) -> list[str]:
-    from .geometry import cover_profile, dimension_estimate
-
+def cmd_dim(args, a):
     lo, hi = _parse_levels(args.levels)
     est = dimension_estimate(a, lo, hi, method=args.method)
     prof = cover_profile(a, hi)
-    rows = [_header(a), "level,delta,area,boxes,log_inv_delta,log_boxes"]
-    for i in range(lo, hi + 1):
-        d, ar, nb = prof.delta[i], prof.area[i], prof.boxes[i]
-        rows.append(
-            f"{i},{d:.17g},{ar:.17g},{nb:.17g},{math.log(1 / d):.17g},{math.log(nb):.17g}"
-        )
-    rows.append(f"# method={est.method} slope={est.slope:.17g} "
-                f"intercept={est.intercept:.17g} max_residual={est.max_residual:.3g} "
-                f"reference={est.reference:.17g}")
-    return rows
+    cols = [c[lo:hi + 1] for c in (prof.levels, prof.delta, prof.area, prof.boxes)]
+    cols += [math.log(1 / d) for d in cols[1]], [math.log(nb) for nb in cols[3]]
+    return _table((_header(a), "level,delta,area,boxes,log_inv_delta,log_boxes"),
+                  "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}", cols,
+                  (f"# method={est.method} slope={est.slope:.17g} "
+                   f"intercept={est.intercept:.17g} max_residual={est.max_residual:.3g} "
+                   f"reference={est.reference:.17g}",))
 
 
-def cmd_arclength(args, a) -> list[str]:
-    from .geometry import arc_length_profile
-
+def cmd_arclength(args, a):
     lo, hi = _parse_levels(args.levels)
     prof = arc_length_profile(a, hi)
-    rows = [_header(a), "level,euclidean_length,manhattan_length,total_variation"]
-    for i in range(lo, hi + 1):
-        rows.append(
-            f"{i},{prof.euclidean[i]:.17g},{prof.manhattan[i]:.17g},"
-            f"{prof.total_variation[i]:.17g}"
-        )
-    return rows
+    cols = (prof.levels, prof.euclidean, prof.manhattan, prof.total_variation)
+    return _table((_header(a), "level,euclidean_length,manhattan_length,total_variation"),
+                  "{},{:.17g},{:.17g},{:.17g}", [c[lo:hi + 1] for c in cols])
 
 
-def cmd_derivative(args, a) -> list[str]:
+def cmd_derivative(args, a):
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
-    lines = [_header(a), "m,digit,D_m"]
-    for m, (d, v) in enumerate(zip(x.digits, tr.values), start=1):
-        lines.append(f"{m},{d},{_fmt(v)}")
-    lines.append(f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
-                 f"gamma_estimate={tr.stats.gamma_estimate} "
-                 f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}")
-    return lines
+    return _table((_header(a), "m,digit,D_m"), "{0},{1}," + _num(a, 2),
+                  (range(1, args.n + 1), x.digits, tr.values),
+                  (f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
+                   f"gamma_estimate={tr.stats.gamma_estimate} "
+                   f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}",))
 
 
 def cmd_classify(args, a) -> list[str]:
@@ -164,17 +166,11 @@ def cmd_a0(args, a) -> list[str]:
 
 
 def cmd_chaos(args, a):
-    from .geometry import chaos_game
-
-    pts = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points
+    x, y = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points.T
     if args.format == "svg":
-        return _svg_polyline(pts)
-    rows = chain.from_iterable(
-        map("{:.17g},{:.17g},{}".format, *pts[s:s + _CHAOS_SLICE].T.tolist(),
-            range(s, s + _CHAOS_SLICE))
-        for s in range(0, len(pts), _CHAOS_SLICE)
-    )
-    return chain((_header(a, seed=args.seed), "x,y,step"), rows)
+        return _svg(x, y)
+    return _table((_header(a, seed=args.seed), "x,y,step"), "{:.17g},{:.17g},{}",
+                  (x, y, range(args.n)))
 
 
 def cmd_experiment(args, a) -> list[str]:
@@ -259,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values print in full, however many digits their integers have
+    int_digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if int_digits:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         a = Parameter.parse(args.a, exact=args.exact) if "a" in args else None
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"okamoto: error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if int_digits:
+            sys.set_int_max_str_digits(int_digits)
 
 
 def entry() -> None:

@@ -11,14 +11,13 @@ the arc-length bounds (finite iff a <= 1/2), and the column-cover area is
 A_i = TV_i * 3^-i, whose box count N_i = A_i / delta^2 is (12a-3)^i for
 a > 1/2.  Since F_a([0,1]) = [0,1], F_a ranges over each column exactly
 between the column's two endpoint values, which is all the square grid reads.
+Only the functions that need numpy import it, so the profiles run without it.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError, check_budget
 from .function import Parameter, construct_iteration, ifs_maps
@@ -142,6 +141,8 @@ def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, 
     so level i reads every 3^(i_max-i)-th vertex of f_(i_max); each column
     of width delta contributes the grid cells between floor(min/delta) and
     floor(max/delta)."""
+    import numpy as np
+
     if i_min < 0:
         raise DomainError("i_min must be >= 0")
     v = np.asarray(construct_iteration(Parameter(a.as_float()), i_max).vertices)
@@ -171,6 +172,8 @@ def dimension_estimate(
     a: Parameter, i_min: int, i_max: int, method: str = "column"
 ) -> DimensionEstimate:
     """Slope of log N versus log(1/delta) over levels i_min..i_max."""
+    import numpy as np
+
     if not i_max > i_min >= 1:
         raise DomainError("need i_max > i_min >= 1 for a two-point fit")
     if method == "column":
@@ -212,6 +215,8 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
 
     A step takes 28 bytes at the peak: its map index, and a point of two
     float64 once recorded (27.4 B measured at n = 2e6)."""
+    import numpy as np
+
     if n < 1:
         raise DomainError("need n >= 1 points")
     if burn_in < 0:
@@ -239,6 +244,8 @@ def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) ->
     |U| is the cell diameter sqrt(2) * 3^-i.  Cells whose empirical mass
     exceeds (1 + slack) times the bound are flagged; the check is
     statistical, so a small slack absorbs sampling noise."""
+    import numpy as np
+
     if grid_level < 1:
         raise DomainError("grid_level must be >= 1")
     if len(sample.points) == 0:

@@ -17,10 +17,12 @@ from .errors import DomainError, check_budget
 # ternary rational" must grow with the depth p: we snap when the remainder is
 # within min(3^p * 2^-48, 1e-9) of an integer.  The first term tracks the
 # worst-case amplification of the half-ulp representation error, the cap
-# keeps false snaps at genuinely irrational points negligible.
+# keeps false snaps at genuinely irrational points negligible.  From depth
+# 12 on the cap decides alone (2^48 * 1e-9 < 3^12), so the first term stops
+# growing there and each digit costs the same.
 _SNAP_SHIFT = 48
-_SNAP_CAP_NUM = 1
 _SNAP_CAP_DEN = 10**9
+_SNAP_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def _extract_digits(num: int, den: int, n: int, snap: bool):
         if snap and num % den:
             m = (2 * num + den) // (2 * den)  # round(num/den)
             diff = abs(num - m * den)
-            if (diff << _SNAP_SHIFT) < den * 3**p and diff * _SNAP_CAP_DEN < den * _SNAP_CAP_NUM:
+            if (diff << _SNAP_SHIFT) < den * 3 ** min(p, _SNAP_DEPTH) and diff * _SNAP_CAP_DEN < den:
                 num = m * den
         d = num // den
         if d > 2:  # float input snapped up to 1.0 mid-stream

@@ -34,6 +34,46 @@ def ternary_digits_reference(k: int, i: int) -> tuple:
     return tuple(reversed(ds))
 
 
+def to_ternary_reference(x, n: int):
+    """to_ternary as one plain loop whose snap test forms 3^p at every depth p.
+
+    A float's remainder num/den snaps to the nearest integer when it lies
+    within min(3^p * 2^-48, 1e-9) of it; the library stops growing the first
+    term at depth 12, where the 1e-9 cap already decides."""
+    from okamoto.ternary import TernaryExpansion
+
+    if x == 1:
+        return TernaryExpansion((2,) * n, is_truncation=True, source=(3**n, n))
+    if isinstance(x, (Fraction, int)):
+        num, den, snap = x.numerator, x.denominator, False
+    else:
+        (num, den), snap = float(x).as_integer_ratio(), True
+    digits, end = [], None
+    for p in range(1, n + 1):
+        num *= 3
+        if snap and num % den:
+            m = (2 * num + den) // (2 * den)
+            diff = abs(num - m * den)
+            if (diff << 48) < den * 3**p and diff * 10**9 < den:
+                num = m * den
+        d = min(num // den, 2)
+        digits.append(d)
+        num -= d * den
+        if num == 0:
+            digits.extend([0] * (n - p))
+            end = p
+            break
+    source = None
+    if end is not None:
+        k = 0
+        for d in digits[:end]:
+            k = 3 * k + d
+        while end and k % 3 == 0:
+            k, end = k // 3, end - 1
+        source = (k, end)
+    return TernaryExpansion(tuple(digits), is_truncation=end is None, source=source)
+
+
 def okamoto_recursive(a: Fraction, x: Fraction, depth: int) -> Fraction:
     """Evaluate F_a at a ternary rational by direct interval subdivision.
 

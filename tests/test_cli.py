@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -135,10 +136,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_chaos_csv_memory_grows_at_most_28_bytes_a_point(tmp_path):
+@pytest.mark.parametrize("fmt", ("csv", "svg"))
+def test_chaos_memory_grows_at_most_28_bytes_a_point(tmp_path, fmt):
     def peak_bytes(n):
         proc = run_process("-c", _PEAK_RSS, sys.executable, "-m", "okamoto.cli", "chaos",
-                           "--a", "2/3", "--n", str(n), "--out", str(tmp_path / "f"))
+                           "--a", "2/3", "--n", str(n), "--format", fmt,
+                           "--out", str(tmp_path / "f"))
         code, maxrss = map(int, proc.stdout.split())
         assert code == 0
         return maxrss * (1 if sys.platform == "darwin" else 1024)  # KiB on Linux
@@ -160,9 +163,10 @@ def test_import_and_commands_leave_numpy_unloaded():
 import contextlib, io, sys
 import okamoto, okamoto.cli
 argvs = (["eval", "--a", "3/5", "--x", "1/7"], ["classify", "--a", "0.7"],
-         ["derivative", "--a", "1/3", "--x", "2/9", "--n", "12"])
+         ["derivative", "--a", "1/3", "--x", "2/9", "--n", "12"],
+         ["arclength", "--a", "0.35", "--levels", "0..646"])
 with contextlib.redirect_stdout(io.StringIO()):
-    assert [okamoto.cli.main(argv) for argv in argvs] == [0, 0, 0]
+    assert [okamoto.cli.main(argv) for argv in argvs] == [0, 0, 0, 0]
 assert "numpy" not in sys.modules, "numpy was imported"
 assert okamoto.chaos_game is okamoto.geometry.chaos_game
 names = {}
@@ -180,6 +184,21 @@ def test_derivative_reports_divergence_in_both_modes(capsys, av):
     code, out, err = run(capsys, "derivative", "--a", av, "--x", "0", "--n", "1300")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1].endswith(" diverged=True")
+
+
+def test_exact_values_print_in_full(capsys):
+    code, out, err = run(capsys, "derivative", "--a", "3/5", "--x", "0", "--n", "5000")
+    assert (code, err) == (0, "")
+    # Decimal prints an int's digits without int's own string-length limit
+    assert out.splitlines()[-2] == f"5000,0,{Decimal(9**5000)}/{Decimal(5**5000)}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int string limit")
+def test_main_restores_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "eval", "--a", "3/5", "--x", "1/7", "--exact")[0] == 0
+    assert run(capsys, "eval", "--a", "3/5", "--x", "2")[0] == 1
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_size_limits_exit_with_one_line(capsys):
@@ -350,6 +369,8 @@ def test_version_flag(capsys):
 
 # SHA-256 of the stdout of each command.  CLI output stays byte-identical
 # unless a change says what changed and why; only then is a digest updated.
+# The SVG digests were re-recorded when the polyline went to one point a
+# line; its whitespace-split coordinates were checked unchanged first.
 # The headers carry the version, and `chaos` also depends on numpy's
 # `Generator.choice` stream, so a numpy that changes that stream changes the
 # chaos digests without any change to okamoto.
@@ -357,15 +378,15 @@ GOLDEN = [
     ("iterate --a 3/5 --level 4",
      "2894691fcff3fe9c81c50c7eafeb682ca82834e1dd1bc2b6c2ad8198a5786fc5"),
     ("iterate --a 3/5 --level 3 --format svg",
-     "28349e05e255ffc550e32125cb56c71319afc99464253a2d8ddf80743f7555c0"),
+     "2c76e3cebef6495f33091b006df47d8b0cc8e0e9dbc3107500741afb3f04b17e"),
     ("iterate --a 0.7 --level 5",
      "9726f2ae810755e7b0e9309743f832082e4b8db60862500ca08971d97e751888"),
     ("iterate --a 0.7 --level 4 --format svg",
-     "347019e28e5b8bdc6fe604bda578ad40e9751c88ed3254a6554edebd21efb385"),
+     "9d8c12ab395b11b3756465d5665126316320af88a2ab2f691d8c88d25f8764ff"),
     ("chaos --a 0.8 --n 500 --seed 3",
      "448582686444423483dad3be69595651475f1abb49378fb7268986ecc1c7c540"),
     ("chaos --a 2/3 --n 200 --seed 1 --format svg",
-     "db836795d190b1ec6b2b8d41d56110e7fbd9b436d195fc906a3d354d584cf224"),
+     "978e59ae294439da5d5bff225788b72b8137d46516f1d8a543828d9de270818c"),
     ("dim --a 0.9 --levels 1..8 --method square",
      "2a3339cf3e4adfe7fe8edb327eb4ba9823912cf4db5ed47e6d87281e23287289"),
     ("dim --a 0.6 --levels 1..8",
@@ -386,6 +407,13 @@ GOLDEN = [
      "4d1b367962b3b6be85485d78af840e4e438b84b7502fb211a71c9d7455b6844d"),
     ("derivative --a 1/3 --x 2/9 --n 12",
      "809caebe32c0a86dd06f403fbb08dd47e99d9dd227c40273d6e64f0b0bc1afba"),
+    # 19 684 and 16 385 rows: more than one formatting slice
+    ("iterate --a 0.7 --level 9",
+     "d961ce0c5f8fe86bc3b908ffd06287060646451353cb0f587ce2c5d65e402458"),
+    ("chaos --a 0.8 --n 16385 --seed 5",
+     "ad1122d99db43cbddcf8c3b2bfa2594ab4d5b10d448b3dbc3b7bd2c1f50f59d7"),
+    ("derivative --a 3/5 --x 1/7 --n 30",
+     "0bc4a6b52246b605f40f161acee27aaad9b2d87e1f4589bdeb1c20b5bdc953dd"),
 ]
 
 

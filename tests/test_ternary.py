@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from okamoto import DomainError, ResourceError, digit_stats, ternary_rational, to_ternary
 from okamoto.ternary import TernaryExpansion
-from oracles import ternary_digits_reference
+from oracles import ternary_digits_reference, to_ternary_reference
 
 
 def test_to_ternary_zero():
@@ -153,3 +153,28 @@ def test_to_ternary_refuses_a_digit_count_over_budget():
         with pytest.raises(ResourceError):
             to_ternary(x, 10**12)
     assert time.perf_counter() - start < 1
+
+
+@st.composite
+def _near_ternary_rational(draw):
+    """A float within 3 ulps of k / 3^i, i <= 33, inside [0, 1]."""
+    i = draw(st.integers(0, 33))
+    x = draw(st.integers(0, 3**i)) / 3**i
+    toward = draw(st.sampled_from((0.0, 1.0)))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.one_of(st.floats(0, 1), _near_ternary_rational(),
+                   st.sampled_from((0.0, 1.0, 5e-324, 1 - 2**-53))),
+       n=st.integers(1, 120))
+def test_to_ternary_matches_reference_loop(x, n):
+    assert to_ternary(x, n) == to_ternary_reference(x, n)
+
+
+def test_float_digits_take_linear_time():
+    start = time.perf_counter()
+    to_ternary(1 / 7, 20000)
+    assert time.perf_counter() - start < 0.5
