@@ -23,6 +23,7 @@ from okamoto import (
     to_ternary,
 )
 
+from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
 from oracles import chaos_reference, square_grid_reference, vertex_geometry
 
 SQRT2 = math.sqrt(2)
@@ -231,12 +232,43 @@ def test_chaos_game_deterministic():
     assert not np.array_equal(s1.points, s3.points)
 
 
-@pytest.mark.parametrize("a", (Parameter(Fraction(2, 3)), Parameter(0.9)), ids=str)
+_CHAOS_A = (Parameter(0.51), Parameter(Fraction(2, 3)), Parameter(0.9), Parameter(0.99),
+            Parameter(0.999))
+
+
+def _chaos_maps(a):
+    return tuple((m.x_scale, m.x_offset, m.y_scale, m.y_offset)
+                 for m in ifs_maps(Parameter(a.as_float())))
+
+
+@pytest.mark.parametrize("a", _CHAOS_A, ids=str)
 @pytest.mark.parametrize("seed", (0, 11))
 def test_chaos_game_matches_reference_loop(a, seed):
-    s = chaos_game(a, 2000, burn_in=25, seed=seed)
-    ref = np.array(chaos_reference(a.as_float(), 2000, 25, seed))
-    assert s.points.tobytes() == ref.tobytes()
+    # The shortest orbit that runs in lanes, one step past its last lane.  At
+    # a = 0.99 and 0.999 that is 350 000 and 3.5 million steps, too many for
+    # the reference loop here; test_orbit_recomputes_lanes_that_start_wrong
+    # runs lanes at those a.
+    lanes = _MIN_LANES * _lane_length(chaos_weights(a), [m[2] for m in _chaos_maps(a)], 0) + 1
+    cases = [(n, burn_in) for burn_in in (0, 25, 5000) for n in (1, 2000)]
+    if lanes <= 40_000:
+        cases += [(lanes - burn_in, burn_in) for burn_in in (0, 25, 5000)]
+    for n, burn_in in cases:
+        s = chaos_game(a, n, burn_in=burn_in, seed=seed)
+        ref = np.array(chaos_reference(a.as_float(), n, burn_in, seed))
+        assert s.points.tobytes() == ref.tobytes(), (n, burn_in)
+
+
+@pytest.mark.parametrize("a", _CHAOS_A, ids=str)
+@pytest.mark.parametrize("lane", (1, 8, 50, 2000))
+def test_orbit_recomputes_lanes_that_start_wrong(a, lane):
+    # Lanes shorter than the orbits take to meet (all of them at a = 0.999):
+    # lanes after the first start wrong in both passes, so the ordered scalar
+    # repair and its cascade run, over more than one of its blocks at lane
+    # 2000, and so does the one step past the last lane.
+    steps, seed = _MIN_LANES * lane + 1, 4
+    idx = np.random.default_rng(seed).choice(3, size=steps, p=chaos_weights(a)).astype(np.int8)
+    ref = np.array(chaos_reference(a.as_float(), steps, 0, seed))
+    assert _orbit(idx, _chaos_maps(a), lane).tobytes() == ref.tobytes()
 
 
 def test_chaos_game_points_inside_unit_square():
@@ -274,6 +306,15 @@ def test_mass_left_branch_weight():
     s = chaos_game(Parameter(2 / 3), 100000, seed=5)
     left = np.mean(s.points[:, 0] < 1 / 3)
     assert abs(left - 0.4) < 0.01
+
+
+def test_mass_bound_check_refuses_a_grid_over_budget():
+    s = chaos_game(Parameter(2 / 3), 10, seed=1)
+    start = time.perf_counter()
+    for level in (8, 12):  # 8 is the first level over 512 MiB at 25 bytes a cell
+        with pytest.raises(ResourceError):
+            mass_bound_check(s, level)
+    assert time.perf_counter() - start < 1
 
 
 def test_mass_bound_check_rejects_bad_args():
