@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 from . import __version__
 from .differentiability import (
@@ -102,14 +101,17 @@ def cmd_eval(args, a) -> list[str]:
 def cmd_iterate(args, a):
     import numpy as np
 
-    y = construct_iteration(a, args.level).vertices
-    n = 3**args.level
-    x = np.arange(n + 1) / n  # the same bits as k / n for n <= 2^53
+    g = construct_iteration(a, args.level)
+    y, den, n = g.numerators, g.denominator, 3**args.level
+    k = np.arange(n + 1)
     if args.format == "svg":
-        return _svg(x, np.asarray(y, dtype=float))
-    if a.mode == "exact":
-        x = [Fraction(k, n) for k in range(n + 1)]
-    return _table((_header(a), "x,y"), f"{_num(a, 0)},{_num(a, 1)}", (x, y))
+        y /= den  # int / int rounds once, so exact y gets the bits of float(Fraction(Y, q^i))
+        return _svg(k / n, y)  # k / n: the same bits as k / n in Python for n <= 2^53
+    if a.mode == "float":
+        return _table((_header(a), "x,y"), "{:.17g},{:.17g}", (k / n, y))
+    # k / 3^i and Y / q^i in lowest terms, as Fraction prints them
+    gx, gy = np.gcd(k, n), np.gcd(y, den)
+    return _table((_header(a), "x,y"), "{}/{},{}/{}", (k // gx, n // gx, y // gy, den // gy))
 
 
 def cmd_dim(args, a):

@@ -231,6 +231,8 @@ def nondiff_points(a: Parameter, i: int) -> list:
     For a in (1/3, 1/2) or (1/2, a0): the grid points k / 3**i.
     Elsewhere no finite family is available (for a >= a0 almost every point
     already qualifies), which is reported as an unsupported region.
+    A point takes 33 bytes as a float, 121 as a Fraction (32.2-32.9 B and
+    119-120 B measured at levels 9-11): float levels up to 15, exact up to 13.
     """
     if i < 0:
         raise DomainError("level must be >= 0")
@@ -239,6 +241,10 @@ def nondiff_points(a: Parameter, i: int) -> list:
             f"no finite non-differentiability family is known for a = {a}; "
             "supported ranges are (0, 1/3) and (1/3, 1/2) u (1/2, a0)"
         )
+    each = 33 if a.mode == "float" else 121
+    # 3^17 points are over budget in either mode, so no larger power of 3 is formed
+    check_budget((3 ** min(i, 17) + 1) * each, f"level {i}",
+                 f"3^{i} + 1 points of about {each} bytes each")
     frac, n = a.frac, 3**i
     if a.value < frac(1, 3):
         return [frac(2 * k + 1, 2 * n) for k in range(n)]
@@ -256,7 +262,11 @@ def _stream_digits(seed: int, index: int, n: int) -> "numpy.ndarray":
 
 
 def random_digit_stream(seed: int, index: int, n: int) -> TernaryExpansion:
-    """n uniform ternary digits for sample `index` of experiment `seed`."""
+    """n uniform ternary digits for sample `index` of experiment `seed`.
+
+    A digit takes 16 bytes at the peak (16.0 B measured at n = 1e6 and 1e7):
+    the drawn int64 array, then the list and the tuple of the digits."""
+    check_budget(16 * n, f"a stream of {n} digits", "16 bytes per digit")
     return TernaryExpansion(tuple(_stream_digits(seed, index, n).tolist()))
 
 

@@ -10,9 +10,9 @@ Three equivalent views of the same object:
 Everything runs in one of two arithmetic modes, exact rationals or floats,
 and the mode is decided in one place: `Parameter.frac` builds the constants
 and grid points of either mode, so every view has one code path for both.
-The exact digit series runs on integers scaled by powers of q for a = p/q.
-Construction refines numpy arrays in both modes (of Fractions in exact mode),
-and numpy is imported only there.
+For a = p/q the digit series and construction run on integers over powers
+of q (q = 1 for a float a); construction refines numpy arrays of them, of
+Python ints or float64, and numpy is imported only there.
 """
 from __future__ import annotations
 
@@ -68,19 +68,15 @@ class Parameter:
         O = (0, p, q-p) and M = (p, q-2p, p), so after n digits every partial
         sum and product is an integer over q^n.  The tail coefficient
         max(a, 1-a) / (1 - max(a, |1-2a|)) is tail_num / tail_den.  A float
-        a uses q = 1, its own offsets and slopes, and tail_den = 1.
+        a uses q = tail_den = 1, and tail_num = inf where that margin rounds to 0.
         """
         if self.mode == "exact":
             p, q = self.value.numerator, self.value.denominator
             return q, (0, p, q - p), (p, q - 2 * p, p), max(p, q - p), q - max(p, abs(q - 2 * p))
         av = self.value
         margin = 1 - max(av, abs(1 - 2 * av))
-        if margin == 0:
-            raise PrecisionError(
-                f"float a = {self} leaves 1 - max(a, |1-2a|) = 0, so no digit series "
-                "can be certified; give a as an exact fraction p/q"
-            )
-        return 1, (0.0, av, 1 - av), (av, 1 - 2 * av, av), max(av, 1 - av) / margin, 1
+        tail = max(av, 1 - av) / margin if margin else math.inf
+        return 1, (0.0, av, 1 - av), (av, 1 - 2 * av, av), tail, 1
 
     @classmethod
     def parse(cls, text: str, exact: bool = False) -> "Parameter":
@@ -95,18 +91,31 @@ class Parameter:
 
 @dataclass(frozen=True)
 class IterationGraph:
-    """Level-i approximant: vertex[k] = f_i(k / 3**i), 3**i + 1 vertices."""
+    """Level-i approximant: f_i(k / 3**i) = numerators[k] / denominator, 3**i + 1 vertices."""
 
     level: int
-    vertices: Sequence
+    numerators: "numpy.ndarray"  # Python ints (object dtype) for a = p/q, float64 for a float
     a: Parameter
 
     def __post_init__(self):
-        if len(self.vertices) != 3**self.level + 1:
+        if len(self.numerators) != 3**self.level + 1:
             raise DomainError(
                 f"level {self.level} graph needs {3**self.level + 1} vertices, "
-                f"got {len(self.vertices)}"
+                f"got {len(self.numerators)}"
             )
+
+    @property
+    def denominator(self) -> int:
+        """q^level for a = p/q, 1 for a float a."""
+        return self.a._series[0] ** self.level
+
+    @cached_property
+    def vertices(self) -> Sequence:
+        """f_i(k / 3**i) in a's arithmetic: a list of Fractions, or the float64 numerators."""
+        if self.a.mode == "float":
+            return self.numerators
+        den = self.denominator
+        return [Fraction(y, den) for y in self.numerators.tolist()]
 
 
 @dataclass(frozen=True)
@@ -133,52 +142,49 @@ class EvalResult:
 
 
 def level_zero(a: Parameter) -> IterationGraph:
-    """f_0 is the identity: vertices [0, 1]."""
-    vertices = [a.frac(0, 1), a.frac(1, 1)]
-    if a.mode == "float":
-        import numpy as np
+    """f_0 is the identity: numerators [0, 1] over q^0 = 1."""
+    import numpy as np
 
-        vertices = np.array(vertices)
-    return IterationGraph(0, vertices, a)
+    return IterationGraph(0, np.array([0, 1], dtype=float if a.mode == "float" else object), a)
 
 
 def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     """One inductive step: each affine segment (yL, yR) is replaced by three,
 
     with new interior vertices yL + a*(yR-yL) and yL + (1-a)*(yR-yL); all
-    existing grid values are preserved exactly.  Both modes run the same
-    array code, on a float64 array or on an object array of Fractions;
-    exact vertices are handed back as a list of Fractions.
+    existing grid values are preserved exactly.  On numerators over q^i with
+    offsets O = (0, p, q-p), vertex j of a segment is q*vL + O[j]*(vR-vL); a
+    float a runs the same code with q = 1 and O = (0, a, 1-a), so no product
+    by q rounds.
     """
     if a != g.a:
         raise DomainError("refine called with a different parameter than the graph's")
     import numpy as np
 
-    exact = a.mode == "exact"
-    v = np.asarray(g.vertices, dtype=object if exact else float)
+    q, (_, p, r), *_ = a._series
+    v = g.numerators
     out = np.empty(3 * (len(v) - 1) + 1, dtype=v.dtype)
-    out[0::3] = v
-    # in place, so the only other array alive is v: d = yR - yL goes into the
-    # third slice, a*d into the second, then (1-a)*d, and yL is added to both
+    qv = np.multiply(v, q, out=out[0::3])
+    # in place, so the only other array alive is v: d = vR - vL goes into the
+    # third slice, p*d into the second, then (q-p)*d, and q*vL is added to both
     d = np.subtract(v[1:], v[:-1], out=out[2::3])
-    np.multiply(d, a.value, out=out[1::3])
-    d *= 1 - a.value
-    out[1::3] += v[:-1]
-    d += v[:-1]
-    return IterationGraph(g.level + 1, out.tolist() if exact else out, a)
+    np.multiply(d, p, out=out[1::3])
+    d *= r
+    out[1::3] += qv[:-1]
+    d += qv[:-1]
+    return IterationGraph(g.level + 1, out, a)
 
 
 def vertex_bytes(a: Parameter, i: int) -> int:
     """Upper estimate of the memory one level-i vertex takes during construction.
 
     11 for float64: refine's output array and the previous level's, a third
-    its size, peak at 10.7 B per vertex (levels 14 and 15, same baseline as
-    below).  For a = p/q a level-i vertex is an integer over q^i, so the
-    numerator and denominator of its Fraction have at most i*bit_length(q)
-    bits.  Peak RSS of construct_iteration above a numpy-loaded
-    baseline (x86-64, CPython 3.11) is 134-138 B per vertex at q = 5 (levels
-    10-12), 170-173 B at q = 10^4 (levels 10-11) and 2.3-2.5 KB at q = 10^300
-    (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 56-87 %.
+    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14).  For
+    a = p/q a level-i numerator has at most i*bit_length(q) bits.  Building
+    it and reading .vertices once, a Fraction over q^i each, peaks (x86-64,
+    CPython 3.11, tracemalloc) at 168-169 B per vertex at q = 5 (levels
+    10-12), 205-207 B at q = 10^4 (levels 10-11) and 3.0-3.4 KB at q = 10^300
+    (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 28-39 %.
     """
     if a.mode == "float":
         return 11
@@ -204,11 +210,9 @@ def construct_iteration(a: Parameter, i: int) -> IterationGraph:
 
 def sample_graph(a: Parameter, i: int) -> list[tuple]:
     """Polyline of f_i: the 3**i + 1 points (k/3**i, vertex[k]) in x order."""
-    import numpy as np
-
-    ys = np.asarray(construct_iteration(a, i).vertices).tolist()
-    frac, n = a.frac, 3**i
-    return [(frac(k, n), y) for k, y in enumerate(ys)]
+    g, frac, n = construct_iteration(a, i), a.frac, 3**i
+    den = g.denominator
+    return [(frac(k, n), frac(y, den)) for k, y in enumerate(g.numerators.tolist())]
 
 
 def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
@@ -230,6 +234,9 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
     if x.is_one:
         return EvalResult(frac(1, 1), frac(0, 1), 0)
     q, offsets, mults, tail_num, tail_den = a._series
+    if tail_num == math.inf:
+        raise PrecisionError(f"float a = {a} leaves 1 - max(a, |1-2a|) = 0, so no digit series "
+                             "can be certified; give a as an exact fraction p/q")
     # the certificate |P|/S * tail_num/tail_den < tol, as |P| * c1 < c2 * S
     if not exact:
         c1, c2 = tail_num, tol

@@ -140,23 +140,24 @@ def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, 
     F_a ranges over a level-i column exactly between its endpoint values,
     so level i reads every 3^(i_max-i)-th vertex of f_(i_max); each column
     of width delta contributes the grid cells between floor(min/delta) and
-    floor(max/delta)."""
+    floor(max/delta), floored in a's arithmetic: for a = p/q exactly, as
+    floor(Y 3^i / q^i_max) on the integer numerators Y."""
     import numpy as np
 
     if i_min < 0:
         raise DomainError("i_min must be >= 0")
-    v = np.asarray(construct_iteration(Parameter(a.as_float()), i_max).vertices)
+    g = construct_iteration(a, i_max)
+    v, den = g.numerators, g.denominator
     out = []
     for i in range(i_min, i_max + 1):
-        # floor commutes with min and max; in place, as one level-16 array is 344 MB
-        w = v[:: 3 ** (i_max - i)] * 3.0**i
-        np.floor(w, out=w)
+        # in place where it can be, as one level-16 array is 344 MB
+        w = v[:: 3 ** (i_max - i)] * 3**i
+        w = w // den if a.mode == "exact" else np.floor(w, out=w)
         # a value of 1.0 (F_a(1), or one rounded up to it) belongs to the top row
-        np.minimum(w, 3.0**i - 1, out=w)
-        lo = np.minimum(w[:-1], w[1:])
-        hi = np.maximum(w[:-1], w[1:])
-        hi -= lo
-        out.append((i, int(np.sum(hi)) + len(hi)))
+        np.minimum(w, 3**i - 1, out=w)
+        # floor is monotone, so a column covers |w[k+1] - w[k]| + 1 squares
+        d = np.diff(w)
+        out.append((i, int(np.sum(np.abs(d, out=d))) + len(d)))
     return out
 
 

@@ -155,7 +155,7 @@ def digit_stats(e: TernaryExpansion, n: int) -> DigitStats:
     gamma_estimate is min over m in [ceil(n/2), n] of ones(m)/m: a finite
     stand-in for liminf ones(n)/n that ignores early-digit noise.
     """
-    if n == 0:
+    if n < 1:
         raise DomainError("prefix length must be >= 1")
     if n > len(e.digits):
         raise DomainError(f"prefix length {n} exceeds expansion length {len(e.digits)}")

@@ -7,6 +7,7 @@ geometry references sum over the materialised vertices of f_i instead of
 using self-affinity.  The construction and chaos-game references are plain
 per-element loops over the paper's formulas instead of array code.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -229,4 +230,27 @@ def square_grid_reference(a: float, i_min: int, i_max: int):
         lo = np.minimum(np.floor(cmin * scale), scale - 1)
         hi = np.minimum(np.floor(cmax * scale), scale - 1)
         out.append((i, int(np.sum(hi - lo + 1))))
+    return out
+
+
+def square_grid_reference_exact(a: Fraction, i_min: int, i_max: int):
+    """Occupied delta-squares per level for an exact a, with no float anywhere.
+
+    The vertices of f_(i_max+1) come from refine_reference on Fractions, and
+    every column's minimum and maximum over all the finer vertices inside it
+    are floored as Fractions."""
+    fine = i_max + 1
+    v = [Fraction(0), Fraction(1)]
+    for _ in range(fine):
+        v = refine_reference(v, a)
+    out = []
+    for i in range(i_min, i_max + 1):
+        seg, scale = 3 ** (fine - i), 3**i
+        count = 0
+        for c in range(scale):
+            col = v[c * seg:(c + 1) * seg + 1]
+            # values equal to 1 belong to the top row of cells
+            lo, hi = (min(math.floor(y * scale), scale - 1) for y in (min(col), max(col)))
+            count += hi - lo + 1
+        out.append((i, count))
     return out

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okamoto
+from okamoto import Parameter, construct_iteration
 from okamoto.cli import main
 
 SRC = str(Path(okamoto.__file__).resolve().parents[1])
@@ -325,6 +327,20 @@ def test_iterate_csv_and_svg(capsys, tmp_path):
     assert 'viewBox="0 0 1 1"' in body
 
 
+@pytest.mark.parametrize("av", ("7/9", f"{10**30 - 1}/{10**30}"), ids=("7/9", "1-10^-30"))
+def test_exact_iterate_rows_are_the_vertices(capsys, av):
+    # rows print k/3^i and the vertex in lowest terms; SVG points are their floats
+    ys = construct_iteration(Parameter.parse(av), 5).vertices
+    xs = [Fraction(k, 3**5) for k in range(len(ys))]
+    code, out, _ = run(capsys, "iterate", "--a", av, "--level", "5")
+    assert code == 0
+    assert out.splitlines()[2:] == [f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
+                                    for x, y in zip(xs, ys)]
+    code, out, _ = run(capsys, "iterate", "--a", av, "--level", "5", "--format", "svg")
+    assert code == 0
+    assert out.splitlines()[2:-2] == [f"{float(x):.8g},{1 - float(y):.8g}" for x, y in zip(xs, ys)]
+
+
 def test_chaos_csv_determinism(capsys):
     code1, out1, _ = run(capsys, "chaos", "--a", "2/3", "--n", "50", "--seed", "9")
     code2, out2, _ = run(capsys, "chaos", "--a", "2/3", "--n", "50", "--seed", "9")
@@ -414,6 +430,9 @@ GOLDEN = [
      "ad1122d99db43cbddcf8c3b2bfa2594ab4d5b10d448b3dbc3b7bd2c1f50f59d7"),
     ("derivative --a 3/5 --x 1/7 --n 30",
      "0bc4a6b52246b605f40f161acee27aaad9b2d87e1f4589bdeb1c20b5bdc953dd"),
+    # square counts of an exact a, recorded once they matched a Fraction-only reference
+    ("dim --a 2/3 --levels 1..8 --method square",
+     "5447563e4c7005495c39dc34852cff2dcb201d324259de0ab6257bb31411af39"),
 ]
 
 

@@ -330,4 +330,9 @@ def test_size_checks_refuse_before_allocating():
     # an exact trace grows quadratically: 10^5 values at q = 5 need about 5 GB
     with pytest.raises(ResourceError):
         derivative_trace(Parameter(Fraction(3, 5)), TernaryExpansion((0,) * 10**5), 10**5)
+    # 3^30 points and 10^12 digits, refused before any list or array is made
+    with pytest.raises(ResourceError):
+        nondiff_points(Parameter(0.2), 30)
+    with pytest.raises(ResourceError):
+        random_digit_stream(0, 0, 10**12)
     assert time.perf_counter() - start < 1

@@ -291,6 +291,8 @@ def test_eval_float_mode_bit_identical_to_reference():
 @example(a=Fraction(1, 2), exact_mode=True)
 @example(a=Fraction(1, 2), exact_mode=False)
 @example(a=Fraction(1, 10**300), exact_mode=False)  # the float a = 1e-300
+@example(a=Fraction(1, 10**300), exact_mode=True)
+@example(a=Fraction(10**30 - 1, 10**30), exact_mode=True)
 def test_refine_matches_segment_loop(a, exact_mode):
     # exact levels 0..6 equal as Fractions, float levels 0..10 equal bit for bit
     a = Parameter(a if exact_mode else float(a))

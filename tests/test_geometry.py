@@ -24,7 +24,8 @@ from okamoto import (
 )
 
 from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
-from oracles import chaos_reference, square_grid_reference, vertex_geometry
+from oracles import (chaos_reference, square_grid_reference, square_grid_reference_exact,
+                     vertex_geometry)
 
 SQRT2 = math.sqrt(2)
 
@@ -171,6 +172,19 @@ def test_profiles_match_mpmath_up_to_last_float_level(av, top, arc_top):
 @pytest.mark.parametrize("av", (0.001, 0.01, 0.2, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.9))
 def test_square_grid_counts_match_refined_reference(av):
     assert square_grid_counts(Parameter(av), 1, 10) == square_grid_reference(av, 1, 10)
+
+
+@pytest.mark.parametrize("a, i", [
+    (Fraction(2, 3), 5), (Fraction(2, 3), 7), (Fraction(2, 3), 8), (Fraction(5, 9), 8),
+    (Fraction(7, 9), 7),
+], ids=("2/3-5", "2/3-7", "2/3-8", "5/9-8", "7/9-7"))
+def test_square_grid_counts_exact_match_fraction_reference(a, i):
+    # an exact a is counted on its integer numerators, not on a float copy of a
+    # (which gave 80 233 squares at 2/3, level 7)
+    got = square_grid_counts(Parameter(a), 1, i)
+    assert got == square_grid_reference_exact(a, 1, i)
+    if (a, i) == (Fraction(2, 3), 7):
+        assert got[-1] == (7, 80311)
 
 
 def test_square_grid_counts_top_row_columns():

@@ -136,10 +136,9 @@ def test_digit_stats_gamma_matches_fraction_minimum(digits, data):
 
 def test_digit_stats_rejects_bad_prefix():
     e = TernaryExpansion((0, 1))
-    with pytest.raises(DomainError):
-        digit_stats(e, 0)
-    with pytest.raises(DomainError):
-        digit_stats(e, 3)
+    for n in (0, -1, -25, 3):
+        with pytest.raises(DomainError, match="prefix length"):
+            digit_stats(e, n)
 
 
 def test_invalid_digits_rejected():
