@@ -27,7 +27,7 @@ from .differentiability import (
     region_classify,
 )
 from .errors import DomainError, OkamotoError, PrecisionError
-from .function import Parameter, construct_iteration, eval_digit_series, parse_real
+from .function import Parameter, construct_iteration, eval_digit_series, parse_real, series_digits
 from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
 
@@ -41,14 +41,17 @@ def _num(a: Parameter, i: int) -> str:
     return f"{{{i}.numerator}}/{{{i}.denominator}}" if a.mode == "exact" else f"{{{i}:.17g}}"
 
 
-def _table(head, fmt: str, columns, tail=()):
-    """The head lines, fmt.format of each row of equally long columns, the tail lines.
+def _table(head, fmt: str, columns, tail=(), rows=None):
+    """The head lines, fmt.format of each row of the columns, the tail lines.
 
-    Rows go _SLICE at a time, numpy slices through .tolist(), so no text exists whole."""
+    Columns are equally long sequences, or a function of a row range (lo, hi),
+    hi perhaps past the last of `rows` rows, giving those rows of each.  Rows go
+    _SLICE at a time, numpy slices through .tolist(), so no text exists whole."""
     yield from head
-    for s in range(0, len(columns[0]), _SLICE):
-        part = [c[s:s + _SLICE] for c in columns]
-        yield from map(fmt.format, *(c.tolist() if hasattr(c, "tolist") else c for c in part))
+    part = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
+    for s in range(0, len(columns[0]) if rows is None else rows, _SLICE):
+        cols = part(s, s + _SLICE)
+        yield from map(fmt.format, *(c.tolist() if hasattr(c, "tolist") else c for c in cols))
     yield from tail
 
 
@@ -68,11 +71,9 @@ def _write(path: str | None, lines) -> None:
         fh.flush()
 
 
-def _svg(x, y):
-    """The points (x, y) as one polyline in the unit square, one a line, y flipped to 1 - y."""
-    y *= -1  # in place, so no third array exists: -y + 1 has the same bits as 1 - y
-    y += 1
-    return _table(_SVG_HEAD, "{:.8g},{:.8g}", (x, y), ('"/>', "</svg>"))
+def _svg(columns, rows):
+    """The points (x, 1 - y) of columns(lo, hi) as one polyline in the unit square, one a line."""
+    return _table(_SVG_HEAD, "{:.8g},{:.8g}", columns, ('"/>', "</svg>"), rows)
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -87,7 +88,7 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def cmd_eval(args, a) -> list[str]:
-    x = _parse_x(args.x, a, args.digits)
+    x = _parse_x(args.x, a, series_digits(a, args.tol))
     res = eval_digit_series(a, x, args.tol)
     return [
         _header(a),
@@ -103,15 +104,20 @@ def cmd_iterate(args, a):
 
     g = construct_iteration(a, args.level)
     y, den, n = g.numerators, g.denominator, 3**args.level
-    k = np.arange(n + 1)
+
+    def columns(lo, hi):  # x = k / n: the same bits as k / n in Python for n <= 2^53
+        k, v = np.arange(lo, min(hi, n + 1)), y[lo:hi]
+        if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
+            return k / n, 1 - v / den
+        if a.mode == "float":
+            return k / n, v
+        gx, gy = np.gcd(k, n), np.gcd(v, den)  # in lowest terms, as Fraction prints them
+        return k // gx, n // gx, v // gy, den // gy
+
     if args.format == "svg":
-        y /= den  # int / int rounds once, so exact y gets the bits of float(Fraction(Y, q^i))
-        return _svg(k / n, y)  # k / n: the same bits as k / n in Python for n <= 2^53
-    if a.mode == "float":
-        return _table((_header(a), "x,y"), "{:.17g},{:.17g}", (k / n, y))
-    # k / 3^i and Y / q^i in lowest terms, as Fraction prints them
-    gx, gy = np.gcd(k, n), np.gcd(y, den)
-    return _table((_header(a), "x,y"), "{}/{},{}/{}", (k // gx, n // gx, y // gy, den // gy))
+        return _svg(columns, n + 1)
+    fmt = "{:.17g},{:.17g}" if a.mode == "float" else "{}/{},{}/{}"
+    return _table((_header(a), "x,y"), fmt, columns, rows=n + 1)
 
 
 def cmd_dim(args, a):
@@ -170,7 +176,7 @@ def cmd_a0(args, a) -> list[str]:
 def cmd_chaos(args, a):
     x, y = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points.T
     if args.format == "svg":
-        return _svg(x, y)
+        return _svg(lambda lo, hi: (x[lo:hi], 1 - y[lo:hi]), args.n)
     return _table((_header(a, seed=args.seed), "x,y,step"), "{:.17g},{:.17g},{}",
                   (x, y, range(args.n)))
 
@@ -203,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--x", required=True, help="point: decimal in [0,1] or p/q")
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--digits", type=int, default=200, help="max digits to expand")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("iterate", help="emit the level-i polyline (csv or svg)")

@@ -179,7 +179,8 @@ def vertex_bytes(a: Parameter, i: int) -> int:
     """Upper estimate of the memory one level-i vertex takes during construction.
 
     11 for float64: refine's output array and the previous level's, a third
-    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14).  For
+    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14); the square
+    grid adds one 8 MB block to that peak, iterate one slice of rows.  For
     a = p/q a level-i numerator has at most i*bit_length(q) bits.  Building
     it and reading .vertices once, a Fraction over q^i each, peaks (x86-64,
     CPython 3.11, tracemalloc) at 168-169 B per vertex at q = 5 (levels
@@ -213,6 +214,21 @@ def sample_graph(a: Parameter, i: int) -> list[tuple]:
     g, frac, n = construct_iteration(a, i), a.frac, 3**i
     den = g.denominator
     return [(frac(k, n), frac(y, den)) for k, y in enumerate(g.numerators.tolist())]
+
+
+def series_digits(a: Parameter, tol) -> int:
+    """Least n >= 1 with rho^n C <= tol/2, rho = max(a, |1-2a|) and C the tail coefficient.
+
+    So n digits certify tol at every x, the 2 covering rounding; a count past
+    the budget is capped there."""
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    q, _, mults, tail_num, tail_den = a._series
+    need = math.log(tail_num) - math.log(tail_den) + math.log(2) - math.log(tol)
+    rate = -math.log(max(map(abs, mults)) / q)  # -log(rho)
+    if not rate:  # rho rounds to 1: a float a with no margin, refused anyway, or n past 2^53
+        return 1 if a.mode == "float" or need <= 0 else CONSTRUCTION_BUDGET
+    return math.ceil(max(1, min(need / rate, CONSTRUCTION_BUDGET)))
 
 
 def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:

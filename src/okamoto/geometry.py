@@ -23,6 +23,7 @@ from .errors import DomainError, ResourceError, UnsupportedRegionError, check_bu
 from .function import Parameter, construct_iteration, ifs_maps
 
 SQRT2 = math.sqrt(2.0)
+_VALUE_BLOCK, _POINT_BLOCK = 2**20, 2**16  # glibc serves blocks this large by mmap: no heap left
 
 
 @dataclass(frozen=True)
@@ -137,28 +138,37 @@ def cover_profile(a: Parameter, i_max: int) -> CoverProfile:
 def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, int]]:
     """Conventional box counting: occupied delta-squares per level.
 
-    F_a ranges over a level-i column exactly between its endpoint values,
-    so level i reads every 3^(i_max-i)-th vertex of f_(i_max); each column
-    of width delta contributes the grid cells between floor(min/delta) and
-    floor(max/delta), floored in a's arithmetic: for a = p/q exactly, as
-    floor(Y 3^i / q^i_max) on the integer numerators Y."""
+    F_a ranges over a level-i column exactly between its endpoint values, so
+    level i bins (_cells, in a's arithmetic) every 3^(i_max-i)-th vertex of
+    f_(i_max): a strided copy, or the vertex array itself at i_max, as nothing
+    reads it after that.  Row steps are summed a block at a time."""
     import numpy as np
 
     if i_min < 0:
         raise DomainError("i_min must be >= 0")
     g = construct_iteration(a, i_max)
-    v, den = g.numerators, g.denominator
+    v = g.numerators
     out = []
     for i in range(i_min, i_max + 1):
-        # in place where it can be, as one level-16 array is 344 MB
-        w = v[:: 3 ** (i_max - i)] * 3**i
-        w = w // den if a.mode == "exact" else np.floor(w, out=w)
-        # a value of 1.0 (F_a(1), or one rounded up to it) belongs to the top row
-        np.minimum(w, 3**i - 1, out=w)
-        # floor is monotone, so a column covers |w[k+1] - w[k]| + 1 squares
-        d = np.diff(w)
-        out.append((i, int(np.sum(np.abs(d, out=d))) + len(d)))
+        w = _cells(v[:: 3 ** (i_max - i)], g.denominator, i, out=v if i == i_max else None)
+        # floor is monotone, so a column covers |w[k+1] - w[k]| + 1 squares; map frees each block
+        d = (np.diff(w[b:b + _VALUE_BLOCK + 1]) for b in range(0, len(w) - 1, _VALUE_BLOCK))
+        out.append((i, len(w) - 1 + sum(map(lambda s: int(np.abs(s, out=s).sum()), d))))
     return out
+
+
+def _cells(v, den, i: int, out=None):
+    """Row floor(v 3^i / den) of each value v/den on the 3^-i grid, into out, 1 in the top row.
+
+    Floor division of the numerators over q^n of a = p/q, np.floor of floats
+    (den = 1).  A value outside [0, 1], or a NaN, raises DomainError."""
+    import numpy as np
+
+    if not (v.min() >= 0 and v.max() <= den):
+        raise DomainError("grid values must lie in [0, 1]")
+    w = np.multiply(v, 3**i, out=out)
+    np.floor_divide(w, den, out=w) if w.dtype == object else np.floor(w, out=w)
+    return np.minimum(w, 3**i - 1, out=w)
 
 
 def dimension_reference(a: Parameter) -> float:
@@ -363,8 +373,8 @@ def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) ->
     exceeds (1 + slack) times the bound are flagged; the check is
     statistical, so a small slack absorbs sampling noise.
 
-    A cell takes 25 bytes at the peak: its count, mass and ratio as float64,
-    and its flag (25.02 B measured at level 7), so levels up to 7 fit."""
+    A cell takes at most 25 bytes: its count, mass and ratio, 8 bytes each,
+    and its flag (17.1 B measured at level 7), plus one block of points."""
     import numpy as np
 
     if grid_level < 1:
@@ -375,13 +385,14 @@ def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) ->
     check_budget(25 * 9 ** min(grid_level, 16), f"a mass grid of level {grid_level}",
                  "25 bytes a cell")
     af = sample.a.as_float()
-    m = 3**grid_level
-    edges = np.linspace(0.0, 1.0, m + 1)
-    hist, _, _ = np.histogram2d(sample.points[:, 0], sample.points[:, 1], bins=(edges, edges))
-    mu = hist / len(sample.points)
+    pts, m = sample.points, 3**grid_level
+    counts = np.zeros(m * m, dtype=np.intp)
+    for b in range(0, len(pts), _POINT_BLOCK):
+        cell = _cells(pts[b:b + _POINT_BLOCK], 1, grid_level) @ (m, 1)  # row x * m + row y
+        counts += np.bincount(cell.astype(np.intp), minlength=m * m)
     s = dimension_reference(sample.a)
     bound = (12 * af - 3) * (SQRT2 * 3.0**-grid_level) ** s
-    ratios = mu / bound
+    ratios = counts.reshape(m, m) / len(pts) / bound
     flagged = tuple(
         (int(ix), int(iy)) for ix, iy in np.argwhere(ratios > 1 + slack)
     )

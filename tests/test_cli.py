@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okamoto
+import okamoto.cli
 from okamoto import Parameter, construct_iteration
 from okamoto.cli import main
 
@@ -78,10 +80,19 @@ def test_eval_bad_x_exit_code(capsys):
 
 
 def test_eval_precision_exit_code(capsys):
-    # huge parameter contrast: 3 digits cannot certify 1e-12
-    code, _, err = run(capsys, "eval", "--a", "0.9", "--x", "0.123456", "--digits", "3")
+    # 1 - 2a rounds to 1 in float, so no number of digits certifies a bound
+    code, _, err = run(capsys, "eval", "--a", "1e-17", "--x", "0.123456")
     assert code == 2
     assert "precision" in err
+
+
+@pytest.mark.parametrize("av, x", [("0.999", "0.3"), ("0.999", "0.25"), ("0.9", "0.123456"),
+                                       ("9/10", "1/7")])
+def test_eval_expands_the_digits_its_tol_needs(capsys, av, x):
+    # a = 0.999 needs 35 214 digits for 1e-12 at worst; 200 digits certify only 775 at x = 0.3
+    code, out, _ = run(capsys, "eval", "--a", av, "--x", x)
+    assert code == 0
+    assert Fraction(parse_fields(out)["error_bound"]) <= Fraction(1e-12)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -152,6 +163,41 @@ def test_chaos_memory_grows_at_most_28_bytes_a_point(tmp_path, fmt):
     assert (peak_bytes(n) - peak_bytes(1)) / n <= 28
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_square_dim_memory_stays_near_construction():
+    def peak_bytes(levels):
+        proc = run_process("-c", _PEAK_RSS, sys.executable, "-m", "okamoto.cli", "dim",
+                           "--a", "0.9", "--levels", levels, "--method", "square")
+        code, maxrss = map(int, proc.stdout.split())
+        assert code == 0
+        return maxrss * (1 if sys.platform == "darwin" else 1024)  # KiB on Linux
+
+    # 13.5 B a vertex of level 14 (construction alone peaks at 10.7); a scaled
+    # copy of the level and its np.diff would make it 31.7
+    assert (peak_bytes("1..14") - peak_bytes("1..2")) / 3**14 <= 16
+
+
+@pytest.mark.parametrize("av, level, fmt", [("0.7", 10, "csv"), ("0.7", 10, "svg"),
+                                            ("3/5", 9, "csv")])
+def test_iterate_peaks_near_construction(tmp_path, monkeypatch, av, level, fmt):
+    # x, and exact mode's reduced columns, are made a slice at a time beside the
+    # vertices, so the command peaks near construction's own peak; whole columns
+    # would make it 2.4 to 3.1 times that.  Small slices keep their share small.
+    monkeypatch.setattr(okamoto.cli, "_SLICE", 1024)
+    argv = ["iterate", "--a", av, "--format", fmt, "--out", str(tmp_path / "f"), "--level"]
+    assert main(argv + ["1"]) == 0  # numpy and the formatting code load untraced
+    tracemalloc.start()
+    try:
+        construct_iteration(Parameter.parse(av), level)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(argv + [str(level)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * build
+
+
 def test_a0_nan_tol_exits_with_one_line():
     proc = run_process("-m", "okamoto.cli", "a0", "--tol", "nan")
     assert proc.returncode == 1
@@ -205,7 +251,7 @@ def test_main_restores_the_int_string_limit(capsys):
 
 def test_size_limits_exit_with_one_line(capsys):
     start = time.perf_counter()
-    for argv in (["eval", "--a", "0.6", "--x", "0.3", "--digits", "1000000000000"],
+    for argv in (["eval", "--a", "1e-10", "--x", "0.3"],  # about 2.5e11 digits for 1e-12
                  ["derivative", "--a", "0.4", "--x", "0.3", "--n", "1000000000000"],
                  ["derivative", "--a", "3/5", "--x", "0", "--n", "100000"],  # about 5 GB exact
                  ["chaos", "--a", "0.7", "--n", "1000000000000"],
@@ -237,7 +283,7 @@ def _command(name, a=True, **options):
 
 
 _ARGV = st.one_of(
-    _command("eval", x=_REAL, tol=_TOL, digits=_SMALL),
+    _command("eval", x=_REAL, tol=_TOL),
     _command("iterate", level=st.integers(-2, 8).map(str),
              format=st.sampled_from(("csv", "svg", "npy"))),
     _command("dim", levels=_LEVELS, method=st.sampled_from(("column", "square", "x"))),

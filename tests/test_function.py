@@ -22,7 +22,7 @@ from okamoto import (
     to_ternary,
 )
 from okamoto.differentiability import nondiff_points
-from okamoto.function import CONSTRUCTION_BUDGET, level_zero, vertex_bytes
+from okamoto.function import CONSTRUCTION_BUDGET, level_zero, series_digits, vertex_bytes
 from okamoto.ternary import TernaryExpansion
 
 from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
@@ -352,6 +352,28 @@ def test_eval_tiny_float_parameter_raises_precision_error():
         eval_digit_series(Parameter(1e-300), to_ternary(0.3, 40), 1e-12)
     r = eval_digit_series(Parameter(Fraction(1, 10**300)), to_ternary(0.3, 40), 1e-12)
     assert r.error_bound < Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("av", (Fraction(3, 5), Fraction(1, 7), Fraction(99, 100), 0.6, 0.3, 0.99))
+@pytest.mark.parametrize("tol", (0.5, 1e-12, 1e-30))
+def test_series_digits_is_the_least_count_that_certifies(av, tol):
+    # rho^n C <= tol/2 at a's exact value, and n - 1 digits would not do
+    n, f = series_digits(Parameter(av), tol), Fraction(av)
+    rho = max(f, abs(1 - 2 * f))
+    c = max(f, 1 - f) / (1 - rho)
+    assert rho**n * c <= Fraction(tol) / 2 and (n == 1 or rho ** (n - 1) * c > Fraction(tol) / 2)
+
+
+def test_series_digits_edges():
+    assert series_digits(Parameter(0.6), math.inf) == 1
+    assert series_digits(Parameter(Fraction(1, 10**20)), 1e300) == 1
+    # no margin in float: eval_digit_series refuses a, whatever the count
+    assert series_digits(Parameter(1e-300), 1e-12) == 1
+    # rho rounds to 1: the count is far past the budget, so to_ternary refuses it
+    assert series_digits(Parameter(Fraction(1, 10**400)), 1e-12) == CONSTRUCTION_BUDGET
+    for bad in (0, -1e-12, math.nan):
+        with pytest.raises(DomainError):
+            series_digits(Parameter(0.6), bad)
 
 
 def test_ifs_maps_values():

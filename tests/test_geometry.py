@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,12 +9,14 @@ import pytest
 
 from okamoto import (
     DomainError,
+    MassSample,
     Parameter,
     ResourceError,
     UnsupportedRegionError,
     arc_length_profile,
     chaos_game,
     chaos_weights,
+    construct_iteration,
     cover_profile,
     dimension_estimate,
     eval_digit_series,
@@ -23,6 +26,7 @@ from okamoto import (
     to_ternary,
 )
 
+from okamoto import geometry
 from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
 from oracles import (chaos_reference, square_grid_reference, square_grid_reference_exact,
                      vertex_geometry)
@@ -193,6 +197,30 @@ def test_square_grid_counts_top_row_columns():
     assert square_grid_counts(Parameter(0.01), 10, 10) == [(10, 118097)]
 
 
+@pytest.mark.parametrize("block", (1, 7, 1000))
+def test_square_grid_counts_span_blocks(monkeypatch, block):
+    # the row steps are summed a block at a time; blocks this small split
+    # every level, so each boundary step must be counted once
+    monkeypatch.setattr(geometry, "_VALUE_BLOCK", block)
+    assert square_grid_counts(Parameter(0.9), 1, 8) == square_grid_reference(0.9, 1, 8)
+    a = Fraction(5, 9)
+    assert square_grid_counts(Parameter(a), 1, 6) == square_grid_reference_exact(a, 1, 6)
+
+
+def test_square_grid_peaks_near_construction():
+    # beside the level-14 vertices, binned in place, exist one strided copy of
+    # level 13 and one block of steps: 12.4 B a vertex, construction 10.7; a
+    # scaled copy of level 14 and its np.diff would make it 26.7
+    construct_iteration(Parameter(0.9), 1)  # numpy loads untraced
+    tracemalloc.start()
+    try:
+        square_grid_counts(Parameter(0.9), 1, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (3**14 + 1) <= 14
+
+
 def test_geometry_level_bounds():
     # profiles answer up to the last level whose box count (3(2a+|1-2a|))^i
     # is a finite float: 420 at a = 0.7, 646 for every a <= 1/2
@@ -329,6 +357,37 @@ def test_mass_bound_check_refuses_a_grid_over_budget():
         with pytest.raises(ResourceError):
             mass_bound_check(s, level)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("av", (0.6, 2 / 3, 0.8, 0.95))
+def test_mass_grid_matches_histogram2d(monkeypatch, av):
+    # the ratios of the counts np.histogram2d gave over np.linspace edges, which
+    # the cell rule floor(v 3^i) replaced, bit for bit; with blocks of 4096
+    # points, 20 000 points fill four blocks and part of a fifth
+    monkeypatch.setattr(geometry, "_POINT_BLOCK", 4096)
+    for seed in range(5):
+        s = chaos_game(Parameter(av), 20000, seed=seed)
+        for level in range(1, 8):
+            rep = mass_bound_check(s, level)  # first, as it must leave the points as they are
+            edges = np.linspace(0.0, 1.0, 3**level + 1)
+            hist, _, _ = np.histogram2d(s.points[:, 0], s.points[:, 1], bins=(edges, edges))
+            ref = hist / len(s.points) / rep.bound
+            assert np.array_equal(rep.ratios.view(np.int64), ref.view(np.int64)), (seed, level)
+
+
+def test_mass_grid_edges():
+    a = Parameter(2 / 3)
+
+    def sample(points):
+        return MassSample(a, np.array(points, dtype=float), chaos_weights(a), 0, 0)
+
+    # a coordinate of exactly 1.0 counts in the top cell
+    rep = mass_bound_check(sample([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]), 2)
+    assert {(int(i), int(j)) for i, j in np.argwhere(rep.ratios)} == {(8, 8), (0, 8), (8, 0),
+                                                                       (0, 0)}
+    for bad in ([1 + 2**-52, 0.5], [-1e-300, 0.5], [0.5, math.nan], [math.inf, 0.5]):
+        with pytest.raises(DomainError):
+            mass_bound_check(sample([[0.5, 0.5], bad]), 2)
 
 
 def test_mass_bound_check_rejects_bad_args():
