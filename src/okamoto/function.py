@@ -283,6 +283,8 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
     if not x.is_truncation:
         # trailing zeros contribute nothing: the value is exact
         return EvalResult(frac(V, S), frac(0, 1), used)
+    if abs(P) * c1 < c2 * S:  # no digit consumed, so the loop has not tested this yet
+        return EvalResult(frac(V, S), frac(abs(P) * tail_num, tail_den * S), used)
     bound = float(frac(abs(P) * tail_num, tail_den * S))
     raise PrecisionError(
         f"{used} digits certify only {bound:.3g}, above tol {float(tol):.3g}",

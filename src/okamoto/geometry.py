@@ -24,6 +24,7 @@ from .function import Parameter, construct_iteration, ifs_maps
 
 SQRT2 = math.sqrt(2.0)
 _VALUE_BLOCK, _POINT_BLOCK = 2**20, 2**16  # glibc serves blocks this large by mmap: no heap left
+MASS_SLACK = 0.2  # share by which a cell's mass may pass its bound: sampling noise
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,6 @@ class MassBoundReport:
 
     grid_level: int
     bound: float
-    slack: float
     ratios: np.ndarray  # shape (3^i, 3^i): mu(cell) / bound
     flagged: tuple[tuple[int, int], ...]
     max_ratio: float
@@ -221,8 +221,10 @@ def chaos_weights(a: Parameter) -> tuple[float, float, float]:
 def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSample:
     """Random IFS iteration from (0,0), keeping points after burn_in steps.
 
-    Maps are drawn with the natural-measure weights; the orbit is within
-    3^-burn_in (horizontally) of the attractor when recording starts.
+    Maps are drawn with the natural-measure weights.  (0, 0) lies on the graph,
+    which each map sends into itself, so every point does too, up to rounding;
+    burn_in drops the first points, clustered at images of (0, 0), so the
+    sample's distribution has forgotten its start.
 
     The orbit is the sequential one to the last bit, computed in lanes (see
     _orbit), so a seed gives the same points as a plain loop over the steps.
@@ -282,38 +284,26 @@ def _orbit(idx, maps, lane: int):
     1. every lane runs from (0, 0), a guess that is right for lane 0 only;
     2. every lane reruns from its predecessor's end, which is the true
        start once that predecessor met the true orbit within its lane;
-    3. in order, a lane whose start has the same bits as its predecessor's
-       verified end is accepted: by induction from lane 0, it is the
-       sequential orbit.  Any other lane is recomputed from that end in
-       Python floats.
-
-    Steps past the last whole lane, and the whole orbit when there are
-    fewer lanes, run in Python floats too."""
+    3. if every lane's start has the same bits as its predecessor's end,
+       every lane is the sequential orbit, by induction from lane 0, and
+       only the steps past the last whole lane run in Python floats.
+       Otherwise the whole orbit does, as it does with fewer lanes."""
     import numpy as np
 
     pts = np.empty((len(idx), 2))
     lanes = len(idx) // lane
-    if lanes < _MIN_LANES:
-        _scalar_steps(pts, idx, maps, 0, len(idx), (0.0, 0.0), False)
-        return pts
-    end = lanes * lane
-    rows, steps = pts[:end].reshape(lanes, lane, 2), idx[:end].reshape(lanes, lane)
-    table = np.array([[m[0::2] for m in maps], [m[1::2] for m in maps]])  # scale, offset
-    _lane_steps(rows, steps, table, np.zeros((lanes, 2)), False)
-    starts = np.zeros((lanes, 2))
-    starts[1:] = rows[:-1, -1]
-    _lane_steps(rows, steps, table, starts, True)
-    # lanes whose start differs from their predecessor's end, smallest last
-    moved = starts[1:].view(np.int64) != rows[:-1, -1].view(np.int64)
-    todo = (np.flatnonzero(moved.any(axis=1)) + 1).tolist()[::-1]
-    while todo:
-        k = todo.pop()
-        old = rows[k, -1].tobytes()
-        _scalar_steps(pts, idx, maps, k * lane, (k + 1) * lane, rows[k - 1, -1].tolist(), True)
-        if k + 1 < lanes and rows[k, -1].tobytes() != old and todo[-1:] != [k + 1]:
-            todo.append(k + 1)  # its start matched the end lane k no longer has
-    if end < len(idx):
-        _scalar_steps(pts, idx, maps, end, len(idx), rows[-1, -1].tolist(), False)
+    if lanes >= _MIN_LANES:
+        end = lanes * lane
+        rows, steps = pts[:end].reshape(lanes, lane, 2), idx[:end].reshape(lanes, lane)
+        table = np.array([[m[0::2] for m in maps], [m[1::2] for m in maps]])  # scale, offset
+        _lane_steps(rows, steps, table, np.zeros((lanes, 2)), False)
+        starts = np.zeros((lanes, 2))
+        starts[1:] = rows[:-1, -1]
+        _lane_steps(rows, steps, table, starts, True)
+        if np.array_equal(starts[1:].view(np.int64), rows[:-1, -1].view(np.int64)):
+            _scalar_steps(pts, idx, maps, end, rows[-1, -1].tolist())
+            return pts
+    _scalar_steps(pts, idx, maps, 0, (0.0, 0.0))
     return pts
 
 
@@ -344,34 +334,26 @@ def _lane_steps(rows, steps, table, xy, merge: bool) -> None:
             return
 
 
-def _scalar_steps(pts, idx, maps, lo: int, hi: int, xy, merge: bool) -> None:
-    """Runs steps lo..hi-1 from the point xy in Python floats, writing pts[lo:hi].
-
-    With merge, stops after the first block whose last point pts already
-    held, to the bit: the rows after it follow from the same state."""
+def _scalar_steps(pts, idx, maps, lo: int, xy) -> None:
+    """Runs steps lo..len(idx)-1 from the point xy in Python floats, writing pts[lo:]."""
     x, y = xy
-    for b in range(lo, hi, 1024):
-        e = min(b + 1024, hi)
-        old = merge and pts[e - 1].tobytes()
+    for b in range(lo, len(idx), 1024):
         xs, ys = [], []
-        for j in idx[b:e].tolist():
+        for j in idx[b:b + 1024].tolist():
             sx, ox, sy, oy = maps[j]
             x = sx * x + ox
             y = sy * y + oy
             xs.append(x)
             ys.append(y)
-        pts[b:e, 0] = xs
-        pts[b:e, 1] = ys
-        if merge and pts[e - 1].tobytes() == old:
-            return
+        pts[b:b + 1024, 0] = xs
+        pts[b:b + 1024, 1] = ys
 
 
-def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) -> MassBoundReport:
+def mass_bound_check(sample: MassSample, grid_level: int) -> MassBoundReport:
     """Empirical mass per 3^-i grid cell against (12a-3)|U|^s, s = log3(12a-3).
 
     |U| is the cell diameter sqrt(2) * 3^-i.  Cells whose empirical mass
-    exceeds (1 + slack) times the bound are flagged; the check is
-    statistical, so a small slack absorbs sampling noise.
+    exceeds (1 + MASS_SLACK) times the bound are flagged.
 
     A cell takes at most 25 bytes: its count, mass and ratio, 8 bytes each,
     and its flag (17.1 B measured at level 7), plus one block of points."""
@@ -389,17 +371,16 @@ def mass_bound_check(sample: MassSample, grid_level: int, slack: float = 0.2) ->
     counts = np.zeros(m * m, dtype=np.intp)
     for b in range(0, len(pts), _POINT_BLOCK):
         cell = _cells(pts[b:b + _POINT_BLOCK], 1, grid_level) @ (m, 1)  # row x * m + row y
-        counts += np.bincount(cell.astype(np.intp), minlength=m * m)
+        np.add.at(counts, cell.astype(np.intp), 1)
     s = dimension_reference(sample.a)
     bound = (12 * af - 3) * (SQRT2 * 3.0**-grid_level) ** s
     ratios = counts.reshape(m, m) / len(pts) / bound
     flagged = tuple(
-        (int(ix), int(iy)) for ix, iy in np.argwhere(ratios > 1 + slack)
+        (int(ix), int(iy)) for ix, iy in np.argwhere(ratios > 1 + MASS_SLACK)
     )
     return MassBoundReport(
         grid_level=grid_level,
         bound=bound,
-        slack=slack,
         ratios=ratios,
         flagged=flagged,
         max_ratio=float(ratios.max()),

@@ -140,6 +140,8 @@ def series_reference(a, x, tol):
             return value, bound, used
     if not x.is_truncation:
         return value, zero, used
+    if bound < tol:  # no digit consumed
+        return value, bound, used
     raise ValueError(
         f"{used} digits certify only {float(bound):.3g}, above tol {float(tol):.3g}",
         float(bound),

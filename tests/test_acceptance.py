@@ -174,7 +174,7 @@ def test_criterion_10_digit_frequency():
 
 def test_criterion_11_mass_bound():
     sample = chaos_game(Parameter(2 / 3), 10**6, burn_in=30, seed=7)
-    rep = mass_bound_check(sample, 4, slack=0.2)
+    rep = mass_bound_check(sample, 4)
     left = float(np.mean(sample.points[:, 0] < 1 / 3))
     ok = len(rep.flagged) == 0 and abs(left - 0.4) < 0.01
     assert report(

@@ -208,6 +208,20 @@ def test_eval_insufficient_digits_raises_precision_error():
     assert exc.value.achievable is not None and exc.value.achievable > 1e-12
 
 
+@pytest.mark.parametrize("av", (0.7, Fraction(7, 10)), ids=str)
+@pytest.mark.parametrize("tol", (10, math.inf), ids=str)
+def test_eval_certifies_before_the_first_digit(av, tol):
+    # the tail bound of the whole series, max(a, 1-a) / (1 - max(a, |1-2a|)) = 7/3,
+    # already meets tol, so an empty truncation certifies with no digit
+    r = eval_digit_series(Parameter(av), TernaryExpansion(()), tol)
+    assert (r.value, r.digits_used) == (0, 0)
+    if isinstance(av, Fraction):
+        assert r.error_bound == Fraction(7, 3)
+    else:
+        assert r.error_bound == pytest.approx(7 / 3, rel=1e-15)
+    _same_as_reference(av, TernaryExpansion(()), tol)
+
+
 def test_eval_repeating_form_matches_terminating_form():
     # 1/3 = 0.1000... = 0.0222...: continuity demands the same value
     a = Parameter(0.45)
@@ -341,9 +355,9 @@ def test_eval_infinite_tol_stops_after_one_digit():
         for x in (TernaryExpansion((0, 2, 1)), ternary_rational(5, 3)):
             _same_as_reference(av, x, math.inf)
             assert eval_digit_series(Parameter(av), x, math.inf).digits_used == 1
-    # with no digits there is nothing to certify, whatever the tol
-    with pytest.raises(PrecisionError):
-        eval_digit_series(exact(3, 5), TernaryExpansion(()), math.inf)
+    # with no digits, the bound of the whole series, 3/2 at a = 3/5, meets an infinite tol
+    r = eval_digit_series(exact(3, 5), TernaryExpansion(()), math.inf)
+    assert (r.value, r.error_bound, r.digits_used) == (0, Fraction(3, 2), 0)
 
 
 def test_eval_tiny_float_parameter_raises_precision_error():

@@ -304,13 +304,33 @@ def test_chaos_game_matches_reference_loop(a, seed):
 @pytest.mark.parametrize("lane", (1, 8, 50, 2000))
 def test_orbit_recomputes_lanes_that_start_wrong(a, lane):
     # Lanes shorter than the orbits take to meet (all of them at a = 0.999):
-    # lanes after the first start wrong in both passes, so the ordered scalar
-    # repair and its cascade run, over more than one of its blocks at lane
-    # 2000, and so does the one step past the last lane.
+    # lanes after the first start wrong in both passes, so the whole orbit
+    # falls back to the scalar loop, over more than one of its blocks at lane
+    # 2000.
     steps, seed = _MIN_LANES * lane + 1, 4
     idx = np.random.default_rng(seed).choice(3, size=steps, p=chaos_weights(a)).astype(np.int8)
     ref = np.array(chaos_reference(a.as_float(), steps, 0, seed))
     assert _orbit(idx, _chaos_maps(a), lane).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("av", (2 / 3, 0.9))
+def test_realistic_orbits_take_the_lane_path(monkeypatch, av):
+    # every lane meets the true orbit within its lane, so the scalar loop
+    # runs once, only over the steps past the last whole lane
+    calls, scalar_steps = [], geometry._scalar_steps
+
+    def record(pts, idx, maps, lo, xy):
+        calls.append((lo, len(idx)))
+        scalar_steps(pts, idx, maps, lo, xy)
+
+    monkeypatch.setattr(geometry, "_scalar_steps", record)
+    a = Parameter(av)
+    steps = 30 + 300_000
+    lane = _lane_length(chaos_weights(a), [m[2] for m in _chaos_maps(a)], steps)
+    for seed in range(3):
+        calls.clear()
+        chaos_game(a, 300_000, seed=seed)
+        assert calls == [(steps // lane * lane, steps)], seed
 
 
 def test_chaos_game_points_inside_unit_square():
