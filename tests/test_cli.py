@@ -479,6 +479,13 @@ GOLDEN = [
     # square counts of an exact a, recorded once they matched a Fraction-only reference
     ("dim --a 2/3 --levels 1..8 --method square",
      "5447563e4c7005495c39dc34852cff2dcb201d324259de0ab6257bb31411af39"),
+    # exact CSV and both SVGs across several formatting slices
+    ("iterate --a 3/5 --level 9",
+     "a8d39f397196e3e79a3c6ab844c986ddd90d1e4b06c54c805761887be2ccec04"),
+    ("iterate --a 0.7 --level 9 --format svg",
+     "e7659fcc72a05b3c668641a9ac6e47347be10d980a44e95fb068163605d64f56"),
+    ("chaos --a 2/3 --n 20000 --seed 7 --format svg",
+     "9b825915c7ad1181ef2d8dbc9872ca8b7539868865f14e44c33a6a0697c458c0"),
 ]
 
 
