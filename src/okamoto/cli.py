@@ -7,7 +7,8 @@ mathematical up is visual up, one point a line.
 
 A command computes its whole result before its lines are streamed to stdout
 or --out, so a failing command writes nothing.  Tables and polylines are
-formatted from their columns a slice at a time as they are written.
+formatted from their columns a slice at a time as they are written, each
+slice by one printf-style % on a row template repeated once per row.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
@@ -31,27 +32,32 @@ from .function import Parameter, construct_iteration, eval_digit_series, parse_r
 from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
 
-_SLICE = 16384  # rows formatted at a time; whole numpy columns as lists take 32 B a value
+_SLICE = 4096  # rows formatted at a time; as fast as 16384, whose freed pieces grow the heap
 _SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
              '  <polyline fill="none" stroke="black" stroke-width="0.002" points="')
 
 
-def _num(a: Parameter, i: int) -> str:
-    """Format field of column i in a's mode: p/q if exact, 17 significant digits if float."""
-    return f"{{{i}.numerator}}/{{{i}.denominator}}" if a.mode == "exact" else f"{{{i}:.17g}}"
+def _num(a: Parameter, v) -> str:
+    """v in a's mode: p/q if exact, 17 significant digits if float."""
+    return f"{v.numerator}/{v.denominator}" if a.mode == "exact" else f"{v:.17g}"
 
 
-def _table(head, fmt: str, columns, tail=(), rows=None):
-    """The head lines, fmt.format of each row of the columns, the tail lines.
+def _table(head, row: str, columns, tail=(), rows=None):
+    """The head lines, the printf template row of each row of the columns, the tail lines.
 
     Columns are equally long sequences, or a function of a row range (lo, hi),
     hi perhaps past the last of `rows` rows, giving those rows of each.  Rows go
-    _SLICE at a time, numpy slices through .tolist(), so no text exists whole."""
+    _SLICE at a time, numpy slices through .tolist(): one % formats a slice's
+    rows, interleaved into one flat list, as one piece, so no text exists whole."""
     yield from head
     part = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
     for s in range(0, len(columns[0]) if rows is None else rows, _SLICE):
         cols = part(s, s + _SLICE)
-        yield from map(fmt.format, *(c.tolist() if hasattr(c, "tolist") else c for c in cols))
+        w, m = len(cols), len(cols[0])
+        flat = [None] * (w * m)
+        for j, c in enumerate(cols):
+            flat[j::w] = c.tolist() if hasattr(c, "tolist") else c
+        yield "\n".join([row] * m) % tuple(flat)
     yield from tail
 
 
@@ -73,7 +79,7 @@ def _write(path: str | None, lines) -> None:
 
 def _svg(columns, rows):
     """The points (x, 1 - y) of columns(lo, hi) as one polyline in the unit square, one a line."""
-    return _table(_SVG_HEAD, "{:.8g},{:.8g}", columns, ('"/>', "</svg>"), rows)
+    return _table(_SVG_HEAD, "%.8g,%.8g", columns, ('"/>', "</svg>"), rows)
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -93,8 +99,8 @@ def cmd_eval(args, a) -> list[str]:
     return [
         _header(a),
         f"x_digits = {''.join(map(str, x.digits[:res.digits_used or len(x.digits)]))}",
-        f"value = {_num(a, 0).format(res.value)}",
-        f"error_bound = {_num(a, 0).format(res.error_bound)}",
+        f"value = {_num(a, res.value)}",
+        f"error_bound = {_num(a, res.error_bound)}",
         f"digits_used = {res.digits_used}",
     ]
 
@@ -116,8 +122,8 @@ def cmd_iterate(args, a):
 
     if args.format == "svg":
         return _svg(columns, n + 1)
-    fmt = "{:.17g},{:.17g}" if a.mode == "float" else "{}/{},{}/{}"
-    return _table((_header(a), "x,y"), fmt, columns, rows=n + 1)
+    row = "%.17g,%.17g" if a.mode == "float" else "%d/%d,%d/%d"
+    return _table((_header(a), "x,y"), row, columns, rows=n + 1)
 
 
 def cmd_dim(args, a):
@@ -127,7 +133,7 @@ def cmd_dim(args, a):
     cols = [c[lo:hi + 1] for c in (prof.levels, prof.delta, prof.area, prof.boxes)]
     cols += [math.log(1 / d) for d in cols[1]], [math.log(nb) for nb in cols[3]]
     return _table((_header(a), "level,delta,area,boxes,log_inv_delta,log_boxes"),
-                  "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}", cols,
+                  "%d,%.17g,%.17g,%.17g,%.17g,%.17g", cols,
                   (f"# method={est.method} slope={est.slope:.17g} "
                    f"intercept={est.intercept:.17g} max_residual={est.max_residual:.3g} "
                    f"reference={est.reference:.17g}",))
@@ -138,14 +144,16 @@ def cmd_arclength(args, a):
     prof = arc_length_profile(a, hi)
     cols = (prof.levels, prof.euclidean, prof.manhattan, prof.total_variation)
     return _table((_header(a), "level,euclidean_length,manhattan_length,total_variation"),
-                  "{},{:.17g},{:.17g},{:.17g}", [c[lo:hi + 1] for c in cols])
+                  "%d,%.17g,%.17g,%.17g", [c[lo:hi + 1] for c in cols])
 
 
 def cmd_derivative(args, a):
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
-    return _table((_header(a), "m,digit,D_m"), "{0},{1}," + _num(a, 2),
-                  (range(1, args.n + 1), x.digits, tr.values),
+    v = tr.values  # exact D_m as two columns, p and q
+    row, cols = (("%d,%d,%d/%d", ([d.numerator for d in v], [d.denominator for d in v]))
+                 if a.mode == "exact" else ("%d,%d,%.17g", (v,)))
+    return _table((_header(a), "m,digit,D_m"), row, (range(1, args.n + 1), x.digits, *cols),
                   (f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
                    f"gamma_estimate={tr.stats.gamma_estimate} "
                    f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}",))
@@ -177,7 +185,7 @@ def cmd_chaos(args, a):
     x, y = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points.T
     if args.format == "svg":
         return _svg(lambda lo, hi: (x[lo:hi], 1 - y[lo:hi]), args.n)
-    return _table((_header(a, seed=args.seed), "x,y,step"), "{:.17g},{:.17g},{}",
+    return _table((_header(a, seed=args.seed), "x,y,step"), "%.17g,%.17g,%d",
                   (x, y, range(args.n)))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -427,6 +428,94 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "0.1.0"
+
+
+# Every output `_table` formats, at a size that leaves a short last slice for
+# a slice of 7 rows, except float `iterate` (28 rows, 4 whole slices)
+_SLICED = ["chaos --a 0.8 --n 50 --seed 2", "chaos --a 0.8 --n 50 --seed 2 --format svg",
+           "iterate --a 0.7 --level 3", "iterate --a 0.7 --level 3 --format svg",
+           "iterate --a 3/5 --level 4", "iterate --a 3/5 --level 4 --format svg",
+           "derivative --a 3/5 --x 1/7 --n 30", "derivative --a 0.6 --x 0.3 --n 30",
+           "dim --a 0.6 --levels 1..8", "arclength --a 0.35 --levels 0..12"]
+
+
+@pytest.mark.parametrize("command", _SLICED)
+def test_output_does_not_depend_on_the_slice_size(capsys, monkeypatch, command):
+    outputs = []
+    for size in (1, 7, okamoto.cli._SLICE):
+        monkeypatch.setattr(okamoto.cli, "_SLICE", size)
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Each printf row template of cli.py, the str.format row it replaced, and the
+# kinds of values in its columns: f float, i int, q a Fraction, which the
+# printf row takes as two columns, numerator and denominator
+_TEMPLATES = [
+    ("%.8g,%.8g", "{:.8g},{:.8g}", "ff"),
+    ("%.17g,%.17g", "{:.17g},{:.17g}", "ff"),
+    ("%d/%d,%d/%d", "{}/{},{}/{}", "iiii"),
+    ("%d,%.17g,%.17g,%.17g,%.17g,%.17g", "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}", "ifffff"),
+    ("%d,%.17g,%.17g,%.17g", "{},{:.17g},{:.17g},{:.17g}", "ifff"),
+    ("%d,%d,%d/%d", "{0},{1},{2.numerator}/{2.denominator}", "iiq"),
+    ("%d,%d,%.17g", "{0},{1},{2:.17g}", "iif"),
+    ("%.17g,%.17g,%d", "{:.17g},{:.17g},{}", "ffi"),
+]
+_FIELD = r"%[.\d]*[dg]"
+_INTS = st.one_of(st.integers(), st.builds(lambda d, s: s * (10**d + 7), st.integers(4300, 4400),
+                                           st.sampled_from((-1, 1))))  # past 4300 digits
+_VALUES = {"f": st.floats(allow_subnormal=True),  # nan, -inf, inf and -0.0 too
+           "i": _INTS,
+           "q": st.builds(Fraction, _INTS, _INTS.filter(bool))}
+
+
+def test_every_row_template_is_listed():
+    source = Path(okamoto.cli.__file__).read_text()
+    found = set(re.findall(rf'"((?:{_FIELD}[,/]?)+)"', source))
+    assert found == {row for row, _, _ in _TEMPLATES}
+
+
+@pytest.mark.parametrize("row, old, kinds", _TEMPLATES, ids=[t[0] for t in _TEMPLATES])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
+    n = data.draw(st.integers(0, 9), "rows")
+    cols = [data.draw(st.lists(_VALUES[k], min_size=n, max_size=n)) for k in kinds]
+    printf_cols = [c for k, col in zip(kinds, cols)
+                   for c in ([[q.numerator for q in col], [q.denominator for q in col]]
+                             if k == "q" else [col])]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    with contextlib.ExitStack() as stack:
+        if limit:  # as main sets it
+            sys.set_int_max_str_digits(0)
+            stack.callback(sys.set_int_max_str_digits, limit)
+        stack.enter_context(pytest.MonkeyPatch.context()).setattr(
+            okamoto.cli, "_SLICE", data.draw(st.integers(1, 4), "slice"))
+        new = "\n".join(okamoto.cli._table((), row, printf_cols))
+        assert new == "\n".join(map(old.format, *cols))
+
+
+def test_printf_integer_fields_get_ints(capsys, monkeypatch):
+    # %d prints True as 1 and truncates 1.5 to 1, where {} printed True and 1.5
+    table, seen = okamoto.cli._table, set()
+
+    def spy(head, row, columns, tail=(), rows=None):
+        cols = columns(0, rows) if callable(columns) else columns
+        fields = re.findall(_FIELD, row)
+        assert len(fields) == len(cols)
+        for field, col in zip(fields, cols):
+            if field == "%d":
+                values = col.tolist() if hasattr(col, "tolist") else list(col)
+                assert values and all(type(v) is int for v in values), (row, values[:3])
+        seen.add(row)
+        return table(head, row, columns, tail, rows)
+
+    monkeypatch.setattr(okamoto.cli, "_table", spy)
+    for command in _SLICED:
+        assert run(capsys, *command.split())[0] == 0
+    assert seen == {row for row, _, _ in _TEMPLATES}
 
 
 # SHA-256 of the stdout of each command.  CLI output stays byte-identical
