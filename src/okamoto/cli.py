@@ -43,12 +43,13 @@ def _num(a: Parameter, v) -> str:
 
 
 def _table(head, row: str, columns, tail=(), rows=None):
-    """The head lines, the printf template row of each row of the columns, the tail lines.
+    """The head lines, the rows of the columns in the printf template row, the tail lines.
 
     Columns are equally long sequences, or a function of a row range (lo, hi),
     hi perhaps past the last of `rows` rows, giving those rows of each.  Rows go
-    _SLICE at a time, numpy slices through .tolist(): one % formats a slice's
-    rows, interleaved into one flat list, as one piece, so no text exists whole."""
+    _SLICE at a time, numpy slices through .tolist(): a slice's values, row by
+    row in one flat tuple, fill its rows' templates in one %, yielded as one
+    piece of newline-joined lines, so no text exists whole."""
     yield from head
     part = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
     for s in range(0, len(columns[0]) if rows is None else rows, _SLICE):
