@@ -575,6 +575,14 @@ GOLDEN = [
      "e7659fcc72a05b3c668641a9ac6e47347be10d980a44e95fb068163605d64f56"),
     ("chaos --a 2/3 --n 20000 --seed 7 --format svg",
      "9b825915c7ad1181ef2d8dbc9872ca8b7539868865f14e44c33a6a0697c458c0"),
+    # %.17g columns whose values leave [1e-4, 1): 12 exponent fields over 5
+    # slices; 242 exponent fields with 0 and 1; 0, 1e-300 and 2.0000000000000001e-300
+    ("chaos --a 2/3 --n 20000 --seed 7",
+     "607fc4c665fe394515113103764f5a8f4c39314a47e145cd9bcef1a350259cc8"),
+    ("iterate --a 0.01 --level 7",
+     "04afe7d09bf7a4c9e634d38ed8b8dd25cd4cdf99ab79c84cc9fc67fde6f32839"),
+    ("iterate --a 1e-300 --level 3",
+     "d43fe68e082922ee96b0839c2d7b2c3951bc1f62b41dbd2c0e06c5728b483eac"),
 ]
 
 
