@@ -213,9 +213,10 @@ import contextlib, io, sys
 import okamoto, okamoto.cli
 argvs = (["eval", "--a", "3/5", "--x", "1/7"], ["classify", "--a", "0.7"],
          ["derivative", "--a", "1/3", "--x", "2/9", "--n", "12"],
+         ["derivative", "--a", "0.6", "--x", "0.3", "--n", "40"],  # %.17g on a list
          ["arclength", "--a", "0.35", "--levels", "0..646"])
 with contextlib.redirect_stdout(io.StringIO()):
-    assert [okamoto.cli.main(argv) for argv in argvs] == [0, 0, 0, 0]
+    assert [okamoto.cli.main(argv) for argv in argvs] == [0] * len(argvs)
 assert "numpy" not in sys.modules, "numpy was imported"
 assert okamoto.chaos_game is okamoto.geometry.chaos_game
 names = {}
@@ -431,12 +432,14 @@ def test_version_flag(capsys):
 
 
 # Every output `_table` formats, at a size that leaves a short last slice for
-# a slice of 7 rows, except float `iterate` (28 rows, 4 whole slices)
+# a slice of 7 rows, except float `iterate` at level 3 (28 rows, 4 whole
+# slices); the last two mix 17-digit values with 0, 1 and exponent forms
 _SLICED = ["chaos --a 0.8 --n 50 --seed 2", "chaos --a 0.8 --n 50 --seed 2 --format svg",
            "iterate --a 0.7 --level 3", "iterate --a 0.7 --level 3 --format svg",
            "iterate --a 3/5 --level 4", "iterate --a 3/5 --level 4 --format svg",
            "derivative --a 3/5 --x 1/7 --n 30", "derivative --a 0.6 --x 0.3 --n 30",
-           "dim --a 0.6 --levels 1..8", "arclength --a 0.35 --levels 0..12"]
+           "dim --a 0.6 --levels 1..8", "arclength --a 0.35 --levels 0..12",
+           "iterate --a 0.01 --level 7", "iterate --a 1e-300 --level 3"]
 
 
 @pytest.mark.parametrize("command", _SLICED)
@@ -466,6 +469,7 @@ _TEMPLATES = [
 _FIELD = r"%[.\d]*[dg]"
 _INTS = st.one_of(st.integers(), st.builds(lambda d, s: s * (10**d + 7), st.integers(4300, 4400),
                                            st.sampled_from((-1, 1))))  # past 4300 digits
+_UNIT = st.floats(1e-4, 1, exclude_max=True)  # where _digits17 gives the 17 digits
 _VALUES = {"f": st.floats(allow_subnormal=True),  # nan, -inf, inf and -0.0 too
            "i": _INTS,
            "q": st.builds(Fraction, _INTS, _INTS.filter(bool))}
@@ -481,11 +485,16 @@ def test_every_row_template_is_listed():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
+    import numpy as np
+
     n = data.draw(st.integers(0, 9), "rows")
-    cols = [data.draw(st.lists(_VALUES[k], min_size=n, max_size=n)) for k in kinds]
+    cols = [data.draw(st.lists(_VALUES[k] if k != "f" or data.draw(st.booleans(), "edges")
+                               else _UNIT, min_size=n, max_size=n)) for k in kinds]
+    arrays = data.draw(st.booleans(), "float columns as float64 arrays")  # as numpy gives them
     printf_cols = [c for k, col in zip(kinds, cols)
                    for c in ([[q.numerator for q in col], [q.denominator for q in col]]
-                             if k == "q" else [col])]
+                             if k == "q" else [np.array(col, float) if k == "f" and arrays
+                                               else col])]
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     with contextlib.ExitStack() as stack:
         if limit:  # as main sets it
@@ -516,6 +525,57 @@ def test_printf_integer_fields_get_ints(capsys, monkeypatch):
     for command in _SLICED:
         assert run(capsys, *command.split())[0] == 0
     assert seen == {row for row, _, _ in _TEMPLATES}
+
+
+def _printed(xs):
+    """xs as _digits17 leaves them to print: 0.%0*d of width and digits, else %.*g."""
+    import numpy as np
+
+    w, vals, out = okamoto.cli._digits17(np.array(xs, float))
+    fell = [0] * len(w) if out is None else out.tolist()
+    assert fell == [type(v) is float for v in vals]
+    return [("%.*g" if f else "0.%0*d") % (k, v) for k, v, f in zip(w, vals, fell)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_UNIT, min_size=1, max_size=40))
+def test_digits17_gives_the_17_digits_in_the_unit_range(xs):
+    assert _printed(xs) == ["%.17g" % x for x in xs]
+
+
+def test_digits17_at_powers_of_ten_ties_and_grid_points():
+    import numpy as np
+
+    near = []
+    for k in range(1, 5):  # 50 ulps each side of 10^-k
+        x = 10.0**-k
+        for _ in range(50):
+            x = np.nextafter(x, 0)
+        for _ in range(101):
+            near.append(float(x))
+            x = np.nextafter(x, 1)
+    # odd j / 2^i in [10^(17-i), 10^(18-i)) have 18 significant digits, the last
+    # a 5: exact ties at 17 digits, rounded half to even
+    ties = [j / 2**i for i in range(18, 22)
+            for j in range(2 * math.ceil(10.0 ** (17 - i) * 2**(i - 1)) + 1,
+                           math.floor(10.0 ** (18 - i) * 2**i), 2 * 37)]
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+    assert {int(("%.17e" % x)[17]) % 2 for x in ties} == {0, 1}  # both ways round
+    grid = (np.arange(3**11 + 1) / 3**11).tolist()  # iterate's x at level 11
+    xs = near + ties + grid + [float(np.nextafter(1, 0)), 0.5, 0.25, 1e-4]
+    assert _printed(xs) == ["%.17g" % x for x in xs]
+
+
+def test_digits17_leaves_other_values_to_17g():
+    import numpy as np
+
+    xs = [0.0, -0.0, 1.0, 1e-5, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+          float(np.nextafter(1e-4, 0)), -0.5, 1e300, 0.5]
+    w, vals, out = okamoto.cli._digits17(np.array(xs))
+    assert out.tolist() == [1] * 12 + [0]
+    assert w[:12] == [17] * 12
+    assert [repr(v) for v in vals[:12]] == [repr(x) for x in xs[:12]]
+    assert _printed(xs) == ["%.17g" % x for x in xs]
 
 
 # SHA-256 of the stdout of each command.  CLI output stays byte-identical
