@@ -488,8 +488,9 @@ def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
     import numpy as np
 
     n = data.draw(st.integers(0, 9), "rows")
-    cols = [data.draw(st.lists(_VALUES[k] if k != "f" or data.draw(st.booleans(), "edges")
-                               else _UNIT, min_size=n, max_size=n)) for k in kinds]
+    floats = _VALUES["f"] if data.draw(st.booleans(), "any floats") else _UNIT
+    cols = [data.draw(st.lists(floats if k == "f" else _VALUES[k], min_size=n, max_size=n))
+            for k in kinds]
     arrays = data.draw(st.booleans(), "float columns as float64 arrays")  # as numpy gives them
     printf_cols = [c for k, col in zip(kinds, cols)
                    for c in ([[q.numerator for q in col], [q.denominator for q in col]]
