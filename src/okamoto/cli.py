@@ -49,10 +49,13 @@ def _digits17(x):
     under %.17g, except where x[i] is outside [1e-4, 1): there (17, x[i]) goes under
     %.*g instead, and out, a 0/1 array, marks those places (None if there are none).
 
-    For x = m 2^-e in [1e-4, 1) and s = 16 - floor(log10 x), x 10^s = m 5^s / 2^r
-    with 33 <= r <= 49.  Its nearest integer, the 17 digits, is q plus the exact
-    m 5^s - q 2^r over 2^r, rounded, for q the float x 10^s truncated: that
-    difference is below 2^54, so uint64 arithmetic mod 2^64 gets it right.
+    For x = m 2^-e in [1e-4, 1), s = 16 - floor(log10 x) is 17 plus the count of
+    0.1, 0.01 and 0.001 above x: each float lies at or above its power of ten.
+    Then x 10^s = m 5^s / 2^r with 36 <= r <= 46.  Its nearest integer, the 17
+    digits, is q plus the exact m 5^s - q 2^r over 2^r, rounded, for q the float
+    x 10^s truncated: that difference is below 2^54, so uint64 arithmetic mod
+    2^64 gets it right.  It never carries to 10^17: the float below each power of
+    ten lies more than half a unit of the 17th digit under it.
 
     The work runs in place on the rows of three 2-D arrays, made and freed
     together, each row viewed only for the call that uses it.  Separate 1-D
@@ -70,44 +73,35 @@ def _digits17(x):
     np.logical_and(m[0], m[1], out=m[0])
     np.copyto(f[0], 0.3)  # 17 digits, none to strip
     np.copyto(f[0], x, where=m[0])
-    np.log10(f[0], out=f[1])
-    np.floor(f[1], out=f[1])
-    np.subtract(16, f[1], out=f[1])
-    np.copyto(w[S], f[1], casting="unsafe")
-    np.clip(w[S], 17, 20, out=w[S])
-    while True:
-        np.copyto(f[1], w[S])
-        np.power(10.0, f[1], out=f[1])
-        np.multiply(f[1], f[0], out=f[1])
-        np.copyto(w[Q], f[1], casting="unsafe")  # within 13 of x 10^s
-        np.right_shift(f.view(np.uint64)[0], 52, out=w[R])
-        np.subtract(1075, w[R], out=w[R])
-        np.subtract(w[R], w[S], out=w[R])  # x = m 2^-(r + s)
-        np.bitwise_and(f.view(np.uint64)[0], 2**52 - 1, out=w[D])
-        np.bitwise_or(w[D], 2**52, out=w[D])
-        np.power(5, w[S], out=w[T])
-        np.multiply(w[D], w[T], out=w[D])
-        np.left_shift(w[Q], w[R], out=w[T])
-        np.subtract(w[D], w[T], out=w[D])
-        np.subtract(w[R], 1, out=w[T])
-        np.left_shift(1, w[T], out=w[T])
-        np.add(w[D], w[T], out=w[D])  # m 5^s - q 2^r + 2^(r-1), mod 2^64
-        np.right_shift(w.view(np.int64)[D], w.view(np.int64)[R], out=w.view(np.int64)[T])
-        np.add(w[Q], w[T], out=w[Q])  # rounded half up
-        np.left_shift(1, w[R], out=w[R])
-        np.subtract(w[R], 1, out=w[R])
-        np.bitwise_and(w[D], w[R], out=w[D])
-        np.equal(w[D], 0, out=m[1])  # a tie: rounded half down if that makes q even
-        np.bitwise_and(w[Q], 1, out=w[T])
-        np.multiply(w[T], m[1], out=w[T])
-        np.subtract(w[Q], w[T], out=w[Q])
-        np.less(w[Q], 10**16, out=m[1])  # log10 was one off,
-        np.add(w[S], m[1], out=w[S])
-        off = np.count_nonzero(m[1])
-        np.greater_equal(w[Q], 10**17, out=m[1])  # or rounding carried to 10^17
-        np.subtract(w[S], m[1], out=w[S])
-        if not (off or np.count_nonzero(m[1])):
-            break
+    np.copyto(w[S], 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
+    np.add(w[S], np.less(f[0], 0.1, out=m[1]), out=w[S])
+    np.add(w[S], np.less(f[0], 0.01, out=m[1]), out=w[S])
+    np.add(w[S], np.less(f[0], 0.001, out=m[1]), out=w[S])
+    np.copyto(f[1], w[S])
+    np.power(10.0, f[1], out=f[1])
+    np.multiply(f[1], f[0], out=f[1])
+    np.copyto(w[Q], f[1], casting="unsafe")  # within 13 of x 10^s
+    np.right_shift(f.view(np.uint64)[0], 52, out=w[R])
+    np.subtract(1075, w[R], out=w[R])
+    np.subtract(w[R], w[S], out=w[R])  # x = m 2^-(r + s)
+    np.bitwise_and(f.view(np.uint64)[0], 2**52 - 1, out=w[D])
+    np.bitwise_or(w[D], 2**52, out=w[D])
+    np.power(5, w[S], out=w[T])
+    np.multiply(w[D], w[T], out=w[D])
+    np.left_shift(w[Q], w[R], out=w[T])
+    np.subtract(w[D], w[T], out=w[D])
+    np.subtract(w[R], 1, out=w[T])
+    np.left_shift(1, w[T], out=w[T])
+    np.add(w[D], w[T], out=w[D])  # m 5^s - q 2^r + 2^(r-1), mod 2^64
+    np.right_shift(w.view(np.int64)[D], w.view(np.int64)[R], out=w.view(np.int64)[T])
+    np.add(w[Q], w[T], out=w[Q])  # rounded half up
+    np.left_shift(1, w[R], out=w[R])
+    np.subtract(w[R], 1, out=w[R])
+    np.bitwise_and(w[D], w[R], out=w[D])
+    np.equal(w[D], 0, out=m[1])  # a tie: rounded half down if that makes q even
+    np.bitwise_and(w[Q], 1, out=w[T])
+    np.multiply(w[T], m[1], out=w[T])
+    np.subtract(w[Q], w[T], out=w[Q])
     while True:  # %g drops trailing zeros
         np.remainder(w[Q], 10, out=w[T])
         np.equal(w[T], 0, out=m[1])
@@ -181,7 +175,8 @@ def _header(a: Parameter, seed=None) -> str:
 def _write(path: str | None, lines) -> None:
     """Stream each line and a newline to path, or stdout if None or '-', then flush."""
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        for line in lines:  # the line, then "\n": line + "\n" would copy a slice's text
+            print(line, file=fh)
         fh.flush()
 
 

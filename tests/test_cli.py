@@ -547,14 +547,10 @@ def test_digits17_gives_the_17_digits_in_the_unit_range(xs):
 def test_digits17_at_powers_of_ten_ties_and_grid_points():
     import numpy as np
 
-    near = []
-    for k in range(1, 5):  # 50 ulps each side of 10^-k
-        x = 10.0**-k
-        for _ in range(50):
-            x = np.nextafter(x, 0)
-        for _ in range(101):
-            near.append(float(x))
-            x = np.nextafter(x, 1)
+    # 1000 ulps each side of 10^-k: the decade's comparisons and its top, where
+    # the digits must not carry; 1.0 and above fall back to %.*g
+    near = [float(x) for k in range(5)
+            for x in (np.array(10.0**-k).view(np.int64) + np.arange(-1000, 1001)).view(float)]
     # odd j / 2^i in [10^(17-i), 10^(18-i)) have 18 significant digits, the last
     # a 5: exact ties at 17 digits, rounded half to even
     ties = [j / 2**i for i in range(18, 22)

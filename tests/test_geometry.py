@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from okamoto import (
     DomainError,
@@ -189,6 +191,21 @@ def test_square_grid_counts_exact_match_fraction_reference(a, i):
     assert got == square_grid_reference_exact(a, 1, i)
     if (a, i) == (Fraction(2, 3), 7):
         assert got[-1] == (7, 80311)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(Fraction(1, 60), Fraction(59, 60), max_denominator=60))
+@example(Fraction(1, 3))
+@example(Fraction(1, 2))
+@example(Fraction(2, 3))
+@example(Fraction(7, 9))
+@example(Fraction(1, 1000))
+def test_square_grid_counts_lie_in_the_total_variation_bracket(a):
+    # a column covers |w[k+1] - w[k]| + 1 squares, and floor moves each step
+    # |w[k+1] - w[k]| by at most 1 from 3^i |v[k+1] - v[k]|, whose sum is 3^i TV_i
+    tv = 2 * a + abs(1 - 2 * a)
+    for i, n in square_grid_counts(Parameter(a), 0, 8):
+        assert 3**i * tv**i <= n <= 3**i * tv**i + 2 * 3**i, (i, n)
 
 
 def test_square_grid_counts_top_row_columns():
