@@ -5,9 +5,9 @@ outputs embed the parameter, arithmetic mode, seed and tool version; SVG
 output is a single polyline in a unit viewBox with the y axis flipped so
 mathematical up is visual up, one point a line.
 
-A command computes its whole result before its lines are streamed to stdout
-or --out, so a failing command writes nothing.  Tables and polylines are
-formatted from their columns a slice at a time as they are written, each
+A command computes its result (iterate: checks its level, then refines a block
+at a time) before its lines are streamed, so a failing command writes nothing.
+Tables and polylines are formatted a slice at a time as they are written, each
 slice by one printf-style % on its rows' templates.  A float64 array under
 %.17g reaches that % as the exact integer of its 17 digits where it can.
 
@@ -30,7 +30,7 @@ from .differentiability import (
     region_classify,
 )
 from .errors import DomainError, OkamotoError, PrecisionError
-from .function import Parameter, construct_iteration, eval_digit_series, parse_real, series_digits
+from .function import Parameter, _level_blocks, eval_digit_series, parse_real, series_digits
 from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
 
@@ -118,18 +118,16 @@ def _digits17(x):
     return w[S].tolist(), vals.tolist(), m[0].astype(np.intp)
 
 
-def _table(head, row: str, columns, tail=(), rows=None):
-    """The head lines, the rows of the columns in the printf template row, the tail lines.
+def _table(head, row: str, parts, tail=()):
+    """The head lines, the rows of the parts in the printf template row, the tail lines.
 
-    Columns are equally long sequences, or a function of a row range (lo, hi),
-    hi perhaps past the last of `rows` rows, giving those rows of each.  Rows go
-    _SLICE at a time, numpy slices through .tolist(): a slice's values, row by
-    row in one flat tuple, fill its rows' templates in one %, yielded as one
-    piece of newline-joined lines, so no text exists whole.  A %.17g field of a
+    A part is a list of equally long columns, the next rows.  Rows go _SLICE
+    at a time within a part, numpy slices through .tolist(): a slice's values,
+    row by row in one flat tuple, fill its rows' templates in one %, yielded as
+    one piece of newline-joined lines, so no text exists whole.  A %.17g field of a
     float64 array becomes 0.%0*d on the widths and ints of _digits17, or %.*g in
     the rows where its value falls outside [1e-4, 1)."""
     yield from head
-    part = columns if callable(columns) else lambda lo, hi: [c[lo:hi] for c in columns]
     pieces = row.split("%")
 
     @functools.cache
@@ -158,8 +156,9 @@ def _table(head, row: str, columns, tail=(), rows=None):
         flat = tuple(flat)  # the list goes before the text is made
         return "\n".join(lines) % flat
 
-    for s in range(0, len(columns[0]) if rows is None else rows, _SLICE):
-        yield piece(part(s, s + _SLICE))
+    for cols in parts:
+        for s in range(0, len(cols[0]), _SLICE):
+            yield piece([c[s:s + _SLICE] for c in cols])
     yield from tail
 
 
@@ -180,9 +179,9 @@ def _write(path: str | None, lines) -> None:
         fh.flush()
 
 
-def _svg(columns, rows):
-    """The points (x, 1 - y) of columns(lo, hi) as one polyline in the unit square, one a line."""
-    return _table(_SVG_HEAD, "%.8g,%.8g", columns, ('"/>', "</svg>"), rows)
+def _svg(parts):
+    """The points (x, 1 - y) of the parts' two columns as one polyline in the unit square."""
+    return _table(_SVG_HEAD, "%.8g,%.8g", parts, ('"/>', "</svg>"))
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -211,22 +210,25 @@ def cmd_eval(args, a) -> list[str]:
 def cmd_iterate(args, a):
     import numpy as np
 
-    g = construct_iteration(a, args.level)
-    y, den, n = g.numerators, g.denominator, 3**args.level
+    den, blocks = _level_blocks(a, args.level)
+    n = 3**args.level
 
-    def columns(lo, hi):  # x = k / n: the same bits as k / n in Python for n <= 2^53
-        k, v = np.arange(lo, min(hi, n + 1)), y[lo:hi]
-        if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
-            return k / n, 1 - v / den
-        if a.mode == "float":
-            return k / n, v
-        gx, gy = np.gcd(k, n), np.gcd(v, den)  # in lowest terms, as Fraction prints them
-        return k // gx, n // gx, v // gy, den // gy
+    def parts():  # x = k / n: the same bits as k / n in Python for n <= 2^53
+        for lo, v in blocks:
+            for s in range(1 if lo else 0, len(v), _SLICE):  # a later block's v[0] is written
+                k, y = np.arange(lo + s, lo + min(s + _SLICE, len(v))), v[s:s + _SLICE]
+                if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
+                    yield k / n, 1 - y / den
+                elif a.mode == "float":
+                    yield k / n, y
+                else:  # in lowest terms, as Fraction prints them
+                    gx, gy = np.gcd(k, n), np.gcd(y, den)
+                    yield k // gx, n // gx, y // gy, den // gy
 
     if args.format == "svg":
-        return _svg(columns, n + 1)
+        return _svg(parts())
     row = "%.17g,%.17g" if a.mode == "float" else "%d/%d,%d/%d"
-    return _table((_header(a), "x,y"), row, columns, rows=n + 1)
+    return _table((_header(a), "x,y"), row, parts())
 
 
 def cmd_dim(args, a):
@@ -236,7 +238,7 @@ def cmd_dim(args, a):
     cols = [c[lo:hi + 1] for c in (prof.levels, prof.delta, prof.area, prof.boxes)]
     cols += [math.log(1 / d) for d in cols[1]], [math.log(nb) for nb in cols[3]]
     return _table((_header(a), "level,delta,area,boxes,log_inv_delta,log_boxes"),
-                  "%d,%.17g,%.17g,%.17g,%.17g,%.17g", cols,
+                  "%d,%.17g,%.17g,%.17g,%.17g,%.17g", [cols],
                   (f"# method={est.method} slope={est.slope:.17g} "
                    f"intercept={est.intercept:.17g} max_residual={est.max_residual:.3g} "
                    f"reference={est.reference:.17g}",))
@@ -247,7 +249,7 @@ def cmd_arclength(args, a):
     prof = arc_length_profile(a, hi)
     cols = (prof.levels, prof.euclidean, prof.manhattan, prof.total_variation)
     return _table((_header(a), "level,euclidean_length,manhattan_length,total_variation"),
-                  "%d,%.17g,%.17g,%.17g", [c[lo:hi + 1] for c in cols])
+                  "%d,%.17g,%.17g,%.17g", [[c[lo:hi + 1] for c in cols]])
 
 
 def cmd_derivative(args, a):
@@ -256,7 +258,7 @@ def cmd_derivative(args, a):
     v = tr.values  # exact D_m as two columns, p and q
     row, cols = (("%d,%d,%d/%d", ([d.numerator for d in v], [d.denominator for d in v]))
                  if a.mode == "exact" else ("%d,%d,%.17g", (v,)))
-    return _table((_header(a), "m,digit,D_m"), row, (range(1, args.n + 1), x.digits, *cols),
+    return _table((_header(a), "m,digit,D_m"), row, [(range(1, args.n + 1), x.digits, *cols)],
                   (f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
                    f"gamma_estimate={tr.stats.gamma_estimate} "
                    f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}",))
@@ -286,10 +288,10 @@ def cmd_a0(args, a) -> list[str]:
 
 def cmd_chaos(args, a):
     x, y = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points.T
-    if args.format == "svg":
-        return _svg(lambda lo, hi: (x[lo:hi], 1 - y[lo:hi]), args.n)
+    if args.format == "svg":  # 1 - y a slice at a time
+        return _svg((x[s:s + _SLICE], 1 - y[s:s + _SLICE]) for s in range(0, args.n, _SLICE))
     return _table((_header(a, seed=args.seed), "x,y,step"), "%.17g,%.17g,%d",
-                  (x, y, range(args.n)))
+                  [(x, y, range(args.n))])
 
 
 def cmd_experiment(args, a) -> list[str]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import CONSTRUCTION_BUDGET, DomainError, PrecisionError, check_budget
+from .errors import DomainError, PrecisionError, ResourceError, check_budget
 from .ternary import TernaryExpansion
 
 
@@ -159,37 +159,53 @@ def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     """
     if a != g.a:
         raise DomainError("refine called with a different parameter than the graph's")
+    return IterationGraph(g.level + 1, _refined(g.numerators, a, 1), a)
+
+
+def _refined(v, a: Parameter, times: int):
+    """The numerators v refined `times` times: the one body of refine and _level_blocks."""
     import numpy as np
 
     q, (_, p, r), *_ = a._series
-    v = g.numerators
-    out = np.empty(3 * (len(v) - 1) + 1, dtype=v.dtype)
-    qv = np.multiply(v, q, out=out[0::3])
-    # in place, so the only other array alive is v: d = vR - vL goes into the
-    # third slice, p*d into the second, then (q-p)*d, and q*vL is added to both
-    d = np.subtract(v[1:], v[:-1], out=out[2::3])
-    np.multiply(d, p, out=out[1::3])
-    d *= r
-    out[1::3] += qv[:-1]
-    d += qv[:-1]
-    return IterationGraph(g.level + 1, out, a)
+    for _ in range(times):
+        out = np.empty(3 * (len(v) - 1) + 1, dtype=v.dtype)
+        qv = np.multiply(v, q, out=out[0::3])
+        # in place, so the only other array alive is v: d = vR - vL goes into the
+        # third slice, p*d into the second, then (q-p)*d, and q*vL is added to both
+        d = np.subtract(v[1:], v[:-1], out=out[2::3])
+        np.multiply(d, p, out=out[1::3])
+        d *= r
+        out[1::3] += qv[:-1]
+        d += qv[:-1]
+        v = out
+    return v
 
 
 def vertex_bytes(a: Parameter, i: int) -> int:
     """Upper estimate of the memory one level-i vertex takes during construction.
 
     11 for float64: refine's output array and the previous level's, a third
-    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14); the square
-    grid adds one 8 MB block to that peak, iterate one slice of rows.  For
+    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14).  For
     a = p/q a level-i numerator has at most i*bit_length(q) bits.  Building
     it and reading .vertices once, a Fraction over q^i each, peaks (x86-64,
     CPython 3.11, tracemalloc) at 168-169 B per vertex at q = 5 (levels
     10-12), 205-207 B at q = 10^4 (levels 10-11) and 3.0-3.4 KB at q = 10^300
     (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 28-39 %.
+    _level_blocks refuses the same levels, though it holds f_(i-6) and a block.
     """
     if a.mode == "float":
         return 11
     return 200 + i * a.value.denominator.bit_length() // 2
+
+
+def _check_level(a: Parameter, i: int) -> None:
+    """Refuse level i of a, as construct_iteration's docstring says."""
+    if i < 0:
+        raise DomainError("level must be >= 0")
+    each = vertex_bytes(a, i)
+    # 3^17 float64 vertices are already over budget, so no larger power of 3 is formed
+    check_budget((3 ** min(i, 17) + 1) * each, f"level {i}",
+                 f"3^{i} + 1 vertices of about {each} bytes each")
 
 
 def construct_iteration(a: Parameter, i: int) -> IterationGraph:
@@ -197,16 +213,30 @@ def construct_iteration(a: Parameter, i: int) -> IterationGraph:
 
     Refuses a level whose 3^i + 1 vertices, at vertex_bytes(a, i) each, exceed
     CONSTRUCTION_BUDGET: float levels above 16, and above 13 for a = 3/5."""
-    if i < 0:
-        raise DomainError("level must be >= 0")
-    each = vertex_bytes(a, i)
-    # 3^17 float64 vertices are already over budget, so no larger power of 3 is formed
-    check_budget((3 ** min(i, 17) + 1) * each, f"level {i}",
-                 f"3^{i} + 1 vertices of about {each} bytes each")
+    _check_level(a, i)
     g = level_zero(a)
     for _ in range(i):
         g = refine(g, a)
     return g
+
+
+#: A block of f_i is 27 segments of f_(i-6) refined 6 times: 19 684 vertices,
+#: 157 KB of float64.  Smaller blocks saved under 1 MB of a process's peak but
+#: took up to 4 times as long for the square grid at level 16 (CHANGES.md).
+_BLOCK = (27, 6)
+
+
+def _level_blocks(a: Parameter, i: int):
+    """(q^i, blocks): f_i's numerators over q^i in x order, refused as construct_iteration.
+
+    A block (k, v) holds vertices k, k + 1, ... and starts at the previous
+    block's last one.  A segment's children depend on its two end vertices
+    alone, so a run of segments refined on its own gets the level's own bits."""
+    _check_level(a, i)
+    run, depth = _BLOCK[0], min(_BLOCK[1], i)
+    coarse = _refined(level_zero(a).numerators, a, i - depth)
+    return a._series[0] ** i, ((s * 3**depth, _refined(coarse[s:s + run + 1], a, depth))
+                               for s in range(0, len(coarse) - 1, run))
 
 
 def sample_graph(a: Parameter, i: int) -> list[tuple]:
@@ -219,16 +249,16 @@ def sample_graph(a: Parameter, i: int) -> list[tuple]:
 def series_digits(a: Parameter, tol) -> int:
     """Least n >= 1 with rho^n C <= tol/2, rho = max(a, |1-2a|) and C the tail coefficient.
 
-    So n digits certify tol at every x, the 2 covering rounding; a count past
-    the budget is capped there."""
+    So n digits certify tol at every x, the 2 covering rounding; where rho
+    rounds to 1 for an exact a, n > need 2^54, past 2^53 for tol below 2^52."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     q, _, mults, tail_num, tail_den = a._series
     need = math.log(tail_num) - math.log(tail_den) + math.log(2) - math.log(tol)
     rate = -math.log(max(map(abs, mults)) / q)  # -log(rho)
-    if not rate:  # rho rounds to 1: a float a with no margin, refused anyway, or n past 2^53
-        return 1 if a.mode == "float" or need <= 0 else CONSTRUCTION_BUDGET
-    return math.ceil(max(1, min(need / rate, CONSTRUCTION_BUDGET)))
+    if not rate and a.mode == "exact" and need > 0:
+        raise ResourceError(f"tol {float(tol):.3g} needs more than 2^53 digits of x at a = {a}")
+    return math.ceil(max(1, need / rate)) if rate else 1  # a float a with no margin: refused later
 
 
 def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:

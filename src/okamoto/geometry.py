@@ -20,10 +20,10 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError, check_budget
-from .function import Parameter, construct_iteration, ifs_maps
+from .function import Parameter, _level_blocks, ifs_maps
 
 SQRT2 = math.sqrt(2.0)
-_VALUE_BLOCK, _POINT_BLOCK = 2**20, 2**16  # glibc serves blocks this large by mmap: no heap left
+_POINT_BLOCK = 2**16  # glibc serves blocks this large by mmap: no heap left
 MASS_SLACK = 0.2  # share by which a cell's mass may pass its bound: sampling noise
 
 
@@ -139,26 +139,23 @@ def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, 
     """Conventional box counting: occupied delta-squares per level.
 
     F_a ranges over a level-i column exactly between its endpoint values, so
-    level i bins (_cells, in a's arithmetic) every 3^(i_max-i)-th vertex of
-    f_(i_max): a strided copy, or the vertex array itself at i_max, as nothing
-    reads it after that.  Row steps are summed a block at a time."""
+    column k covers |w[k+1] - w[k]| + 1 squares, w the rows of f_i's vertices
+    (_cells, in a's arithmetic).  Blocks of f_i share their end vertices, and
+    the top level goes first: an over-budget level is refused before any work."""
     import numpy as np
 
     if i_min < 0:
         raise DomainError("i_min must be >= 0")
-    g = construct_iteration(a, i_max)
-    v = g.numerators
     out = []
-    for i in range(i_min, i_max + 1):
-        w = _cells(v[:: 3 ** (i_max - i)], g.denominator, i, out=v if i == i_max else None)
-        # floor is monotone, so a column covers |w[k+1] - w[k]| + 1 squares; map frees each block
-        d = (np.diff(w[b:b + _VALUE_BLOCK + 1]) for b in range(0, len(w) - 1, _VALUE_BLOCK))
-        out.append((i, len(w) - 1 + sum(map(lambda s: int(np.abs(s, out=s).sum()), d))))
-    return out
+    for i in range(i_max, i_min - 1, -1):
+        den, blocks = _level_blocks(a, i)
+        steps = (int(np.abs(np.diff(_cells(v, den, i))).sum()) for _, v in blocks)
+        out.append((i, 3**i + sum(steps)))
+    return out[::-1]
 
 
-def _cells(v, den, i: int, out=None):
-    """Row floor(v 3^i / den) of each value v/den on the 3^-i grid, into out, 1 in the top row.
+def _cells(v, den, i: int):
+    """Row floor(v 3^i / den) of each value v/den on the 3^-i grid, 1 in the top row.
 
     Floor division of the numerators over q^n of a = p/q, np.floor of floats
     (den = 1).  A value outside [0, 1], or a NaN, raises DomainError."""
@@ -166,7 +163,7 @@ def _cells(v, den, i: int, out=None):
 
     if not (v.min() >= 0 and v.max() <= den):
         raise DomainError("grid values must lie in [0, 1]")
-    w = np.multiply(v, 3**i, out=out)
+    w = np.multiply(v, 3**i)
     np.floor_divide(w, den, out=w) if w.dtype == object else np.floor(w, out=w)
     return np.minimum(w, 3**i - 1, out=w)
 

@@ -22,7 +22,8 @@ from okamoto import (
     to_ternary,
 )
 from okamoto.differentiability import nondiff_points
-from okamoto.function import CONSTRUCTION_BUDGET, level_zero, series_digits, vertex_bytes
+from okamoto.errors import CONSTRUCTION_BUDGET
+from okamoto.function import level_zero, series_digits, vertex_bytes
 from okamoto.ternary import TernaryExpansion
 
 from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
@@ -383,8 +384,12 @@ def test_series_digits_edges():
     assert series_digits(Parameter(Fraction(1, 10**20)), 1e300) == 1
     # no margin in float: eval_digit_series refuses a, whatever the count
     assert series_digits(Parameter(1e-300), 1e-12) == 1
-    # rho rounds to 1: the count is far past the budget, so to_ternary refuses it
-    assert series_digits(Parameter(Fraction(1, 10**400)), 1e-12) == CONSTRUCTION_BUDGET
+    # rho rounds to 1: the count is past 2^53, and refused here
+    with pytest.raises(ResourceError, match=r"^tol 1e-12 needs more than 2\^53 digits of x"):
+        series_digits(Parameter(Fraction(1, 10**400)), 1e-12)
+    # past the budget, the count the tolerance needs, for to_ternary to refuse
+    assert series_digits(Parameter(0.999999999999), 1e-12) == 55956449387266
+    assert series_digits(Parameter(1e-10), 1e-12) == 253284338833
     for bad in (0, -1e-12, math.nan):
         with pytest.raises(DomainError):
             series_digits(Parameter(0.6), bad)

@@ -18,7 +18,6 @@ from okamoto import (
     arc_length_profile,
     chaos_game,
     chaos_weights,
-    construct_iteration,
     cover_profile,
     dimension_estimate,
     eval_digit_series,
@@ -28,7 +27,8 @@ from okamoto import (
     to_ternary,
 )
 
-from okamoto import geometry
+from okamoto import function, geometry
+from okamoto.function import vertex_bytes
 from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
 from oracles import (chaos_reference, square_grid_reference, square_grid_reference_exact,
                      vertex_geometry)
@@ -214,28 +214,35 @@ def test_square_grid_counts_top_row_columns():
     assert square_grid_counts(Parameter(0.01), 10, 10) == [(10, 118097)]
 
 
-@pytest.mark.parametrize("block", (1, 7, 1000))
-def test_square_grid_counts_span_blocks(monkeypatch, block):
-    # the row steps are summed a block at a time; blocks this small split
-    # every level, so each boundary step must be counted once
-    monkeypatch.setattr(geometry, "_VALUE_BLOCK", block)
-    assert square_grid_counts(Parameter(0.9), 1, 8) == square_grid_reference(0.9, 1, 8)
+@pytest.mark.parametrize("run", (1, 7, 1000))
+def test_square_grid_counts_span_blocks(monkeypatch, run):
+    # f_i is read in blocks of `run` segments of f_(i - depth), each refined
+    # depth times; with depth 0 and run 1 every level splits into one block a
+    # column, so the step between two blocks must be counted once
     a = Fraction(5, 9)
-    assert square_grid_counts(Parameter(a), 1, 6) == square_grid_reference_exact(a, 1, 6)
+    float_ref, exact_ref = square_grid_reference(0.9, 1, 8), square_grid_reference_exact(a, 1, 6)
+    for depth in (0, 2):
+        monkeypatch.setattr(function, "_BLOCK", (run, depth))
+        assert square_grid_counts(Parameter(0.9), 1, 8) == float_ref
+        assert square_grid_counts(Parameter(a), 1, 6) == exact_ref
 
 
 def test_square_grid_peaks_near_construction():
-    # beside the level-14 vertices, binned in place, exist one strided copy of
-    # level 13 and one block of steps: 12.4 B a vertex, construction 10.7; a
-    # scaled copy of level 14 and its np.diff would make it 26.7
-    construct_iteration(Parameter(0.9), 1)  # numpy loads untraced
-    tracemalloc.start()
-    try:
-        square_grid_counts(Parameter(0.9), 1, 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (3**14 + 1) <= 14
+    # f_i is read a block at a time, so levels 1..14 peak no higher than 1..10
+    # plus one block's worth (they read 527 and 475 KB); f_14 built whole
+    # peaks at 10.7 B a vertex, 51 MB
+    a = Parameter(0.9)
+    square_grid_counts(a, 1, 2)  # numpy loads untraced
+    peaks = []
+    for i_max in (10, 14):
+        tracemalloc.start()
+        try:
+            square_grid_counts(a, 1, i_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    run, depth = function._BLOCK
+    assert peaks[1] <= peaks[0] + (run * 3**depth + 1) * vertex_bytes(a, 14)
 
 
 def test_geometry_level_bounds():
