@@ -213,17 +213,19 @@ def cmd_iterate(args, a):
     den, blocks = _level_blocks(a, args.level)
     n = 3**args.level
 
-    def parts():  # x = k / n: the same bits as k / n in Python for n <= 2^53
+    def columns(lo, v):  # x = k / n: the same bits as k / n in Python for n <= 2^53
+        k = np.arange(lo, lo + len(v))
+        if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
+            return k / n, 1 - v / den
+        if a.mode == "float":
+            return k / n, v
+        gx, gy = np.gcd(k, n), np.gcd(v, den)  # in lowest terms, as Fraction prints them
+        return k // gx, n // gx, v // gy, den // gy
+
+    def parts():  # a slice at a time; a later block starts at the last row made
         for lo, v in blocks:
-            for s in range(1 if lo else 0, len(v), _SLICE):  # a later block's v[0] is written
-                k, y = np.arange(lo + s, lo + min(s + _SLICE, len(v))), v[s:s + _SLICE]
-                if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
-                    yield k / n, 1 - y / den
-                elif a.mode == "float":
-                    yield k / n, y
-                else:  # in lowest terms, as Fraction prints them
-                    gx, gy = np.gcd(k, n), np.gcd(y, den)
-                    yield k // gx, n // gx, y // gy, den // gy
+            for s in range(1 if lo else 0, len(v), _SLICE):
+                yield columns(lo + s, v[s:s + _SLICE])
 
     if args.format == "svg":
         return _svg(parts())

@@ -186,7 +186,7 @@ def test_square_dim_memory_stays_near_construction():
 def test_iterate_peaks_near_construction(tmp_path, monkeypatch, av, level, fmt):
     # f_i is refined a block at a time and formatted a slice at a time, so a
     # level peaks no higher than the level below plus one block's worth: 4 KB
-    # lower for float CSV, 58 KB higher for SVG and 0.53 MB higher for 3/5,
+    # lower for float CSV, 64 KB higher for SVG and 0.53 MB higher for 3/5,
     # whose level 9 is one block, against 216 KB and 4.2 MB allowed.  Built
     # whole, float level 10 peaked 311 KB (CSV) and 306 KB (SVG) above level
     # 9.  Small slices keep the formatting's share small.
