@@ -180,7 +180,7 @@ def _write(path: str | None, lines) -> None:
 
 
 def _svg(parts):
-    """The points (x, 1 - y) of the parts' two columns as one polyline in the unit square."""
+    """The parts' points (x, 1 - y) as one polyline in the unit square, one a line."""
     return _table(_SVG_HEAD, "%.8g,%.8g", parts, ('"/>', "</svg>"))
 
 

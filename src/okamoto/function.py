@@ -221,17 +221,19 @@ def construct_iteration(a: Parameter, i: int) -> IterationGraph:
 
 
 #: A block of f_i is 27 segments of f_(i-6) refined 6 times: 19 684 vertices,
-#: 157 KB of float64.  Smaller blocks saved under 1 MB of a process's peak but
-#: took up to 4 times as long for the square grid at level 16 (CHANGES.md).
+#: 157 KB of float64.  Smaller blocks saved 0.6 MB of the peak of a process
+#: running several commands but made the square grid at level 16 up to 4.4
+#: times slower (CHANGES.md).
 _BLOCK = (27, 6)
 
 
 def _level_blocks(a: Parameter, i: int):
-    """(q^i, blocks): f_i's numerators over q^i in x order, refused as construct_iteration.
+    """(q^i, blocks): the numerators of f_i over q^i in x order, in blocks of _BLOCK.
 
     A block (k, v) holds vertices k, k + 1, ... and starts at the previous
-    block's last one.  A segment's children depend on its two end vertices
-    alone, so a run of segments refined on its own gets the level's own bits."""
+    block's last one; a segment's children depend on its two end vertices
+    alone, so a run refined on its own gets the level's own bits.  Level i is
+    refused as construct_iteration refuses it, before any block is made."""
     _check_level(a, i)
     run, depth = _BLOCK[0], min(_BLOCK[1], i)
     coarse = _refined(level_zero(a).numerators, a, i - depth)
@@ -256,9 +258,10 @@ def series_digits(a: Parameter, tol) -> int:
     q, _, mults, tail_num, tail_den = a._series
     need = math.log(tail_num) - math.log(tail_den) + math.log(2) - math.log(tol)
     rate = -math.log(max(map(abs, mults)) / q)  # -log(rho)
-    if not rate and a.mode == "exact" and need > 0:
+    if not rate and a.mode == "exact" and need > 0:  # rho rounds to 1
         raise ResourceError(f"tol {float(tol):.3g} needs more than 2^53 digits of x at a = {a}")
-    return math.ceil(max(1, need / rate)) if rate else 1  # a float a with no margin: refused later
+    # where rho rounds to 1, a float a has no margin, and eval_digit_series refuses it
+    return math.ceil(max(1, need / rate)) if rate else 1
 
 
 def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:

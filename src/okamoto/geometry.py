@@ -138,10 +138,11 @@ def cover_profile(a: Parameter, i_max: int) -> CoverProfile:
 def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, int]]:
     """Conventional box counting: occupied delta-squares per level.
 
-    F_a ranges over a level-i column exactly between its endpoint values, so
-    column k covers |w[k+1] - w[k]| + 1 squares, w the rows of f_i's vertices
-    (_cells, in a's arithmetic).  Blocks of f_i share their end vertices, and
-    the top level goes first: an over-budget level is refused before any work."""
+    F_a ranges over a level-i column exactly between its endpoint values, and
+    floor is monotone, so column k covers |w[k+1] - w[k]| + 1 squares, w the
+    rows of f_i's vertices (_cells, in a's arithmetic).  Blocks of f_i share
+    their end vertices, and the top level goes first: an over-budget level is
+    refused before any work."""
     import numpy as np
 
     if i_min < 0:
