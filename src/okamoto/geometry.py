@@ -180,9 +180,11 @@ def dimension_reference(a: Parameter) -> float:
 def dimension_estimate(
     a: Parameter, i_min: int, i_max: int, method: str = "column"
 ) -> DimensionEstimate:
-    """Slope of log N versus log(1/delta) over levels i_min..i_max."""
-    import numpy as np
+    """Slope of log N versus log(1/delta) over levels i_min..i_max.
 
+    Least squares from centred sums, each rounded once by math.fsum, so the
+    bits depend neither on numpy's LAPACK nor on the Python version.
+    """
     if not i_max > i_min >= 1:
         raise DomainError("need i_max > i_min >= 1 for a two-point fit")
     if method == "column":
@@ -192,14 +194,17 @@ def dimension_estimate(
         pairs = square_grid_counts(a, i_min, i_max)
     else:
         raise DomainError(f"unknown box-counting method {method!r}")
-    x = np.array([i * math.log(3) for i, _ in pairs])
-    y = np.array([math.log(n) for _, n in pairs])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.max(np.abs(y - (slope * x + intercept))))
+    x = [i * math.log(3) for i, _ in pairs]
+    y = [math.log(n) for _, n in pairs]
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxy = math.fsum((u - xm) * (v - ym) for u, v in zip(x, y))
+    sxx = math.fsum((u - xm) * (u - xm) for u in x)
+    slope = sxy / sxx
+    intercept = ym - slope * xm
     return DimensionEstimate(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=resid,
+        slope=slope,
+        intercept=intercept,
+        max_residual=max(abs(v - (slope * u + intercept)) for u, v in zip(x, y)),
         reference=dimension_reference(a),
         method=method,
     )

@@ -55,13 +55,6 @@ class TernaryExpansion:
         """True when the expansion is known to represent x = 1."""
         return self.source is not None and self.source[0] == 3 ** self.source[1]
 
-    def partial_value(self) -> Fraction:
-        """Exact value of the digit prefix, sum of d_p / 3^p."""
-        acc = 0
-        for d in self.digits:
-            acc = 3 * acc + d
-        return Fraction(acc, 3 ** len(self.digits))
-
 
 @dataclass(frozen=True)
 class DigitStats:

@@ -256,3 +256,18 @@ def square_grid_reference_exact(a: Fraction, i_min: int, i_max: int):
             count += hi - lo + 1
         out.append((i, count))
     return out
+
+
+def least_squares_reference(points):
+    """Exact least-squares line (slope, intercept) through float points (x, y).
+
+    Every point is read as the Fraction of its float, and the normal
+    equations are solved in Fractions, so nothing is rounded."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    return slope, (sy - slope * sx) / n

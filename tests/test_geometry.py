@@ -30,8 +30,8 @@ from okamoto import (
 from okamoto import function, geometry
 from okamoto.function import vertex_bytes
 from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
-from oracles import (chaos_reference, square_grid_reference, square_grid_reference_exact,
-                     vertex_geometry)
+from oracles import (chaos_reference, least_squares_reference, square_grid_reference,
+                     square_grid_reference_exact, vertex_geometry)
 
 SQRT2 = math.sqrt(2)
 
@@ -110,6 +110,50 @@ def test_dimension_estimate_closed_forms():
     assert dimension_estimate(Parameter(0.9), 1, 10).slope == pytest.approx(
         math.log(7.8) / math.log(3), abs=1e-10
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0, 1, exclude_min=True, exclude_max=True)
+    | st.fractions(0, 1, max_denominator=10**6).filter(lambda f: 0 < f < 1),
+    levels=st.lists(st.integers(1, 300), min_size=2, max_size=2, unique=True).map(sorted),
+    method=st.just("column"),
+)
+@example(a=Fraction(16, 125), levels=[25, 27], method="column")  # 2.44 ulps of the slope
+@example(a=0.19991798339514966, levels=[183, 253], method="column")  # 2.04 ulps
+@example(a=Fraction(353, 1000), levels=[78, 100], method="column")  # 3.48 ulps of max |y|
+@example(a=0.9, levels=[1, 12], method="square")
+@example(a=Fraction(2, 3), levels=[1, 12], method="square")
+@example(a=Fraction(5, 9), levels=[1, 12], method="square")
+@example(a=0.51, levels=[1, 12], method="square")
+def test_dimension_fit_matches_exact_least_squares(a, levels, method):
+    # The fit rounds each centred difference, each product, each fsum and the
+    # quotient once, so to first order the slope's relative error is at most
+    # (3k + 6)u, k = sum |dx dy| / |sum dx dy| (1 when all products share a
+    # sign); the intercept adds the slope's error times |x mean| and the
+    # roundings of the means, of slope * x mean and of the difference.  Each
+    # bound below keeps a spare u for second-order terms.  The first three
+    # examples reached 2.44 and 2.04 ulps of the slope and 3.48 ulps of
+    # max |y|, so fixed bounds of 2 and 4 ulps would not hold.
+    lo, hi = levels
+    p = Parameter(a)
+    if method == "column":
+        boxes = cover_profile(p, hi).boxes
+        pairs = [(i, boxes[i]) for i in range(lo, hi + 1)]
+    else:
+        pairs = square_grid_counts(p, lo, hi)
+    points = [(i * math.log(3), math.log(n)) for i, n in pairs]
+    slope, intercept = least_squares_reference(points)
+    est = dimension_estimate(p, lo, hi, method)
+    u = Fraction(2.0**-53)
+    xm = sum(Fraction(x) for x, _ in points) / len(points)
+    ym = sum(Fraction(y) for _, y in points) / len(points)
+    cross = [(Fraction(x) - xm) * (Fraction(y) - ym) for x, y in points]
+    k = sum(map(abs, cross)) / abs(sum(cross))
+    slope_err = abs(Fraction(est.slope) - slope)
+    assert slope_err <= (3 * k + 7) * u * abs(slope)
+    rounding = 2 * abs(ym) + 4 * abs(slope * xm) + 2 * abs(intercept)
+    assert abs(Fraction(est.intercept) - intercept) <= slope_err * abs(xm) + u * rounding
 
 
 def test_dimension_reference_continuity_at_half():

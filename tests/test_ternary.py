@@ -44,7 +44,8 @@ def test_to_ternary_prefix_error_bound():
         x = rng.random()
         n = rng.randint(1, 40)
         e = to_ternary(x, n)
-        err = abs(Fraction(x) - e.partial_value())
+        prefix = sum(Fraction(d, 3**p) for p, d in enumerate(e.digits, start=1))
+        err = abs(Fraction(x) - prefix)
         assert err <= Fraction(1, 3**n)
 
 
