@@ -104,13 +104,18 @@ def derivative_trace(a: Parameter, x: TernaryExpansion, n: int) -> DerivativeTra
     values = []
     max_abs = 0.0
     diverged = False
+    fmax = sys.float_info.max
+    # max_abs never exceeds fmax, so a value beyond fmax is always beyond
+    # max_abs first; a NaN (inf * 0 after an overflow) passes neither test.
     for dig in x.digits[:n]:
         d = d * (m_one if dig == 1 else m_other)
         values.append(d)
-        if abs(d) > sys.float_info.max:
-            diverged = True
-        elif abs(d) > max_abs:
-            max_abs = abs(d)
+        ad = abs(d)
+        if ad > max_abs:
+            if ad > fmax:
+                diverged = True
+            else:
+                max_abs = ad
     return DerivativeTrace(
         a=a,
         digits=x,

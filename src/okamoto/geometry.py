@@ -224,7 +224,9 @@ def chaos_weights(a: Parameter) -> tuple[float, float, float]:
 def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSample:
     """Random IFS iteration from (0,0), keeping points after burn_in steps.
 
-    Maps are drawn with the natural-measure weights.  (0, 0) lies on the graph,
+    Maps are drawn with the natural-measure weights, from the seeded
+    generator's uniform doubles by a threshold rule that gives
+    Generator.choice's indices (see _map_indices).  (0, 0) lies on the graph,
     which each map sends into itself, so every point does too, up to rounding;
     burn_in drops the first points, clustered at images of (0, 0), so the
     sample's distribution has forgotten its start.
@@ -233,8 +235,6 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
     _orbit), so a seed gives the same points as a plain loop over the steps.
     A step takes 18 bytes at the peak: its map index as int8, and a point of
     two float64, burn-in included (17.4 B measured at n = 2e6)."""
-    import numpy as np
-
     if n < 1:
         raise DomainError("need n >= 1 points")
     if burn_in < 0:
@@ -243,14 +243,31 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
     w = chaos_weights(a)
     maps = tuple((m.x_scale, m.x_offset, m.y_scale, m.y_offset)
                  for m in ifs_maps(Parameter(a.as_float())))
-    # A draw takes one uniform double a step, so drawing a slice at a time
-    # gives the same indices as one draw, without its two 8-byte temporaries
-    # a step.
-    rng, idx = np.random.default_rng(seed), np.empty(burn_in + n, np.int8)
-    for b in range(0, len(idx), 2**14):
-        idx[b:b + 2**14] = rng.choice(3, size=min(2**14, len(idx) - b), p=w)
+    idx = _map_indices(w, burn_in + n, seed)
     pts = _orbit(idx, maps, _lane_length(w, [m[2] for m in maps], burn_in + n))
     return MassSample(a=a, points=pts[burn_in:], weights=w, seed=seed, burn_in=burn_in)
+
+
+def _map_indices(w, steps: int, seed: int):
+    """The map index of each step, as int8: default_rng(seed).choice(3, steps, p=w).
+
+    choice draws one uniform double u a step and returns the number of
+    entries of cdf = cumsum(w) / cdf[-1] that are <= u.  cdf[2] is exactly
+    1 > u, so that number is (u >= cdf[0]) + (u >= cdf[1]), which is
+    written straight into the int8 indices.  Drawing 2^14 steps at a time
+    gives the same doubles as one draw; the only temporaries are a block of
+    doubles and a block of bools."""
+    import numpy as np
+
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+    rng, idx = np.random.default_rng(seed), np.empty(steps, np.int8)
+    for b in range(0, steps, 2**14):
+        s = idx[b:b + 2**14]
+        u = rng.random(len(s))
+        np.greater_equal(u, cdf[0], out=s, casting="unsafe")
+        s += u >= cdf[1]
+    return idx
 
 
 #: Fewest lanes worth running in numpy.  A lane step costs a few numpy calls

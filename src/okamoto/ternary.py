@@ -152,12 +152,13 @@ def digit_stats(e: TernaryExpansion, n: int) -> DigitStats:
         raise DomainError("prefix length must be >= 1")
     if n > len(e.digits):
         raise DomainError(f"prefix length {n} exceeds expansion length {len(e.digits)}")
-    ones = 0
-    best = None  # (ones(m), m) of the least ratio so far, compared by cross-multiplying
     lo = math.ceil(n / 2)
-    for m, d in enumerate(e.digits[:n], start=1):
+    ones = e.digits[:lo].count(1)
+    # ones(m), m of the least ratio so far, compared by cross-multiplying
+    best_ones, best_m = ones, lo
+    for m, d in enumerate(e.digits[lo:n], start=lo + 1):
         ones += d == 1
-        if m >= lo and (best is None or ones * best[1] < best[0] * m):
-            best = (ones, m)
+        if ones * best_m < best_ones * m:
+            best_ones, best_m = ones, m
     return DigitStats(n=n, ones_count=ones, ratio=Fraction(ones, n),
-                      gamma_estimate=Fraction(*best))
+                      gamma_estimate=Fraction(best_ones, best_m))

@@ -8,6 +8,7 @@ using self-affinity.  The construction and chaos-game references are plain
 per-element loops over the paper's formulas instead of array code.
 """
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,29 @@ def refine_reference(vertices, a):
         out.extend((yl, yl + a * delta, yl + (1 - a) * delta))
     out.append(vertices[-1])
     return out
+
+
+def derivative_trace_reference(av, digits, n: int):
+    """(values, diverged, max_abs) of derivative_trace as its first plain loop.
+
+    D_m = D_(m-1) * (3-6a if d_m == 1 else 3a) from D_0 = 1, in av's own
+    arithmetic (Fraction or float); every value is tested against the float
+    range before it can raise max_abs.
+    """
+    m_one = 3 - 6 * av
+    m_other = 3 * av
+    d = Fraction(1) if isinstance(av, Fraction) else 1.0
+    values = []
+    max_abs = 0.0
+    diverged = False
+    for dig in digits[:n]:
+        d = d * (m_one if dig == 1 else m_other)
+        values.append(d)
+        if abs(d) > sys.float_info.max:
+            diverged = True
+        elif abs(d) > max_abs:
+            max_abs = abs(d)
+    return tuple(values), diverged, float(max_abs)
 
 
 def chaos_reference(a: float, n: int, burn_in: int, seed: int):

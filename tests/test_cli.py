@@ -596,8 +596,9 @@ def test_digits17_leaves_other_values_to_17g():
 # The SVG digests were re-recorded when the polyline went to one point a
 # line; its whitespace-split coordinates were checked unchanged first.
 # The headers carry the version, and `chaos` also depends on numpy's
-# `Generator.choice` stream, so a numpy that changes that stream changes the
-# chaos digests without any change to okamoto.
+# `Generator.random` stream (its map indices are the ones `Generator.choice`
+# draws, see geometry._map_indices), so a numpy that changes that stream
+# changes the chaos digests without any change to okamoto.
 GOLDEN = [
     ("iterate --a 3/5 --level 4",
      "2894691fcff3fe9c81c50c7eafeb682ca82834e1dd1bc2b6c2ad8198a5786fc5"),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okamoto import (
     DomainError,
@@ -25,6 +27,7 @@ from okamoto import (
 )
 from okamoto.differentiability import generic_rate, random_digit_stream
 from okamoto.ternary import TernaryExpansion
+from oracles import derivative_trace_reference
 
 
 def test_trace_identity_parameter_is_constant_one():
@@ -65,6 +68,43 @@ def test_trace_overflow_saturates_with_flag():
     tr = derivative_trace(Parameter(0.99), TernaryExpansion((0,) * 4000), 4000)
     assert tr.diverged
     assert math.isinf(tr.values[-1])
+
+
+def _assert_trace_matches_reference(av, digits, n):
+    tr = derivative_trace(Parameter(av), TernaryExpansion(tuple(digits)), n)
+    values, diverged, max_abs = derivative_trace_reference(av, digits, n)
+    # repr tells NaN, the signed zeros and Fraction from float apart, bit for bit
+    assert list(map(repr, tr.values)) == list(map(repr, values))
+    assert (tr.diverged, repr(tr.max_abs)) == (diverged, repr(max_abs))
+    return tr
+
+
+@pytest.mark.parametrize("av, digits", [
+    # overflow to inf, then a 1-digit: inf * (3 - 6a) = inf * 0 is NaN from
+    # there on in float, and 0 in exact arithmetic
+    (0.5, (0,) * 1760 + (1,) + (0, 2) * 5),
+    (Fraction(1, 2), (0,) * 1760 + (1,) + (0, 2) * 5),
+    # all-zero overflow: every value past the range is inf
+    (0.99, (0,) * 4000),
+    # alternating signs: both infinities
+    (0.9, (1, 0) * 500),
+], ids=("nan-float", "zero-exact", "inf-float", "inf-signed"))
+def test_trace_matches_reference_loop_past_overflow(av, digits):
+    assert _assert_trace_matches_reference(av, digits, len(digits)).diverged
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact=st.booleans(), p=st.integers(1, 999), q=st.integers(2, 1000),
+       block=st.lists(st.integers(0, 2), min_size=1, max_size=12), reps=st.integers(1, 400),
+       data=st.data())
+def test_trace_matches_reference_loop(exact, p, q, block, reps, data):
+    # up to 400 repeats of a block of up to 12 digits: long enough to pass
+    # the float range near a = 0.99, so drawn float streams overflow too
+    av = Fraction(p % q or 1, q)
+    digits = block * (reps if not exact else 1 + reps // 10)
+    if not exact:
+        av = data.draw(st.sampled_from((float(av), 0.5, 0.99)))
+    _assert_trace_matches_reference(av, digits, data.draw(st.integers(1, len(digits))))
 
 
 def test_trace_domain_errors():

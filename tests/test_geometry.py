@@ -29,7 +29,7 @@ from okamoto import (
 
 from okamoto import function, geometry
 from okamoto.function import vertex_bytes
-from okamoto.geometry import _MIN_LANES, _lane_length, _orbit
+from okamoto.geometry import _MIN_LANES, _lane_length, _map_indices, _orbit
 from oracles import (chaos_reference, least_squares_reference, square_grid_reference,
                      square_grid_reference_exact, vertex_geometry)
 
@@ -351,6 +351,32 @@ def _chaos_maps(a):
                  for m in ifs_maps(Parameter(a.as_float())))
 
 
+def _choice_indices(a, steps, seed):
+    return np.random.default_rng(seed).choice(3, size=steps, p=chaos_weights(a)).astype(np.int8)
+
+
+_DRAW_STEPS = (1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5)
+
+
+@pytest.mark.parametrize("a", _CHAOS_A, ids=str)
+def test_map_indices_match_generator_choice(a):
+    # the threshold rule draws the same doubles and picks the same maps as
+    # choice, across the 2^14-step blocks of the draw
+    for steps in _DRAW_STEPS:
+        for seed in (0, 5):
+            got = _map_indices(chaos_weights(a), steps, seed)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, _choice_indices(a, steps, seed)), (steps, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(av=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       steps=st.sampled_from(_DRAW_STEPS), seed=st.integers(0, 2**32 - 1))
+def test_map_indices_match_generator_choice_at_any_a(av, steps, seed):
+    a = Parameter(av)
+    assert np.array_equal(_map_indices(chaos_weights(a), steps, seed), _choice_indices(a, steps, seed))
+
+
 @pytest.mark.parametrize("a", _CHAOS_A, ids=str)
 @pytest.mark.parametrize("seed", (0, 11))
 def test_chaos_game_matches_reference_loop(a, seed):
@@ -376,7 +402,7 @@ def test_orbit_recomputes_lanes_that_start_wrong(a, lane):
     # falls back to the scalar loop, over more than one of its blocks at lane
     # 2000.
     steps, seed = _MIN_LANES * lane + 1, 4
-    idx = np.random.default_rng(seed).choice(3, size=steps, p=chaos_weights(a)).astype(np.int8)
+    idx = _choice_indices(a, steps, seed)
     ref = np.array(chaos_reference(a.as_float(), steps, 0, seed))
     assert _orbit(idx, _chaos_maps(a), lane).tobytes() == ref.tobytes()
 
