@@ -446,14 +446,16 @@ def test_version_flag(capsys):
 
 # Every output `_table` formats, at a size that leaves a short last slice for
 # a slice of 7 rows, except float `iterate` at level 3 (28 rows, 4 whole
-# slices); the last two mix 17-digit values with 0, 1 and exponent forms.
+# slices); `--a 0.01` and `--a 1e-300` mix 17-digit values with 0, 1 and
+# exponent forms, and `--a 0.5` has y values of 1 to 11 characters.
 # Each `iterate` spans several blocks of f_i at the small block layouts below.
 _SLICED = ["chaos --a 0.8 --n 50 --seed 2", "chaos --a 0.8 --n 50 --seed 2 --format svg",
            "iterate --a 0.7 --level 3", "iterate --a 0.7 --level 3 --format svg",
            "iterate --a 3/5 --level 4", "iterate --a 3/5 --level 4 --format svg",
            "derivative --a 3/5 --x 1/7 --n 30", "derivative --a 0.6 --x 0.3 --n 30",
            "dim --a 0.6 --levels 1..8", "arclength --a 0.35 --levels 0..12",
-           "iterate --a 0.01 --level 7", "iterate --a 1e-300 --level 3"]
+           "iterate --a 0.01 --level 7", "iterate --a 1e-300 --level 3",
+           "iterate --a 0.5 --level 9"]
 
 
 @pytest.mark.parametrize("command", _SLICED)
@@ -657,6 +659,10 @@ GOLDEN = [
      "04afe7d09bf7a4c9e634d38ed8b8dd25cd4cdf99ab79c84cc9fc67fde6f32839"),
     ("iterate --a 1e-300 --level 3",
      "d43fe68e082922ee96b0839c2d7b2c3951bc1f62b41dbd2c0e06c5728b483eac"),
+    # y is the Cantor function, j / 2^m with 1 to 11 characters: up to 16 of
+    # the 17 digits are trailing zeros
+    ("iterate --a 0.5 --level 9",
+     "be3facd9bca3255401b09a827e6a0126090b6eb7d26d53e693d56e487bbc538a"),
 ]
 
 
