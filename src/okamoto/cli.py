@@ -8,8 +8,8 @@ mathematical up is visual up, one point a line.
 A command computes its result (iterate: checks its level, then refines a block
 at a time) before its lines are streamed, so a failing command writes nothing.
 Tables and polylines are formatted a slice at a time as they are written, each
-slice by one printf-style % on its rows' templates.  A float64 array under
-%.17g reaches that % as the exact integer of its 17 digits where it can.
+slice by one printf-style % on its rows' templates, or built as bytes by numpy
+where every field is %.17g on a float64 array or %d on a range.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
@@ -44,10 +44,31 @@ def _num(a: Parameter, v) -> str:
     return f"{v.numerator}/{v.denominator}" if a.mode == "exact" else f"{v:.17g}"
 
 
-def _digits17(x):
-    """(w, vals, out) of a float64 array x: (w[i], vals[i]) under 0.%0*d prints as x[i]
-    under %.17g, except where x[i] is outside [1e-4, 1): there (17, x[i]) goes under
-    %.*g instead, and out, a 0/1 array, marks those places (None if there are none).
+@functools.cache
+def _tables():
+    """_ascii's tables: each k < 10^4 as 4 ASCII digits in a uint32; its trailing zeros;
+    the bytes of a field to keep, at 17 z + t for 0., z zeros and 17 digits less t
+    trailing zeros, and at 67 + k for a k-digit int; 10.0^s; 5^s."""
+    import numpy as np
+
+    k = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    p = np.arange(24)
+    return ((k + 48).astype(np.uint8).view(np.uint32).ravel(),
+            np.cumprod(k[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(1, dtype=np.uint8),
+            np.array([(p == 2) | (p == 3) | (7 - z <= p) & (p <= 23 - t) for z in range(4)
+                      for t in range(17)] + [p >= 24 - n for n in range(1, 21)]),
+            10.0 ** np.arange(21), 5 ** np.arange(21, dtype=np.uint64))
+
+
+def _ascii(pieces, cols):
+    """The rows of cols under the template pieces, newline-joined, made as bytes: each
+    field is %.17g on a float64 array or %d on a range of ints in [0, 2^53).
+
+    A row of text is a row of a 2-D uint8 array: a field's 24 bytes hold 20 digits
+    written 4 at a time, or Python's %.17g text of a value outside [1e-4, 1).  A table
+    row, by the counts of leading and trailing zeros, marks the bytes to keep in a
+    second array, and one boolean-mask compaction joins the rows.  The scratch arrays are
+    made together, as scattered 1-D temporaries pin glibc's heap, and freed before it.
 
     For x = m 2^-e in [1e-4, 1), s = 16 - floor(log10 x) is 17 plus the count of
     0.1, 0.01 and 0.001 above x: each float lies at or above its power of ten.
@@ -55,106 +76,100 @@ def _digits17(x):
     digits, is q plus the exact m 5^s - q 2^r over 2^r, rounded, for q the float
     x 10^s truncated: that difference is below 2^54, so uint64 arithmetic mod
     2^64 gets it right.  It never carries to 10^17: the float below each power of
-    ten lies more than half a unit of the 17th digit under it.
-
-    The work runs in place on the rows of three 2-D arrays, made and freed
-    together, each row viewed only for the call that uses it.  Separate 1-D
-    temporaries, or scratch freed early, leave small blocks in glibc's tcache
-    high on the heap, which then cannot give back what later big arrays skip:
-    they raised the peak RSS of a process running several commands by 8 %."""
+    ten lies more than half a unit of the 17th digit under it."""
     import numpy as np
 
-    n = len(x)
-    w = np.empty((5, n), np.uint64)
-    Q, S, R, D, T = range(5)  # the digits, the power of ten, the shift, m 5^s - q 2^r, scratch
-    f, m = np.empty((2, n)), np.empty((2, n), bool)  # x or 0.3 and scratch; ok and scratch
-    np.greater_equal(x, 1e-4, out=m[0])
-    np.less(x, 1, out=m[1])
-    np.logical_and(m[0], m[1], out=m[0])
-    np.copyto(f[0], 0.3)  # 17 digits, none to strip
-    np.copyto(f[0], x, where=m[0])
-    np.copyto(w[S], 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
-    np.add(w[S], np.less(f[0], 0.1, out=m[1]), out=w[S])
-    np.add(w[S], np.less(f[0], 0.01, out=m[1]), out=w[S])
-    np.add(w[S], np.less(f[0], 0.001, out=m[1]), out=w[S])
-    np.copyto(f[1], w[S])
-    np.power(10.0, f[1], out=f[1])
-    np.multiply(f[1], f[0], out=f[1])
-    np.copyto(w[Q], f[1], casting="unsafe")  # within 13 of x 10^s
-    np.right_shift(f.view(np.uint64)[0], 52, out=w[R])
-    np.subtract(1075, w[R], out=w[R])
-    np.subtract(w[R], w[S], out=w[R])  # x = m 2^-(r + s)
-    np.bitwise_and(f.view(np.uint64)[0], 2**52 - 1, out=w[D])
-    np.bitwise_or(w[D], 2**52, out=w[D])
-    np.power(5, w[S], out=w[T])
-    np.multiply(w[D], w[T], out=w[D])
-    np.left_shift(w[Q], w[R], out=w[T])
-    np.subtract(w[D], w[T], out=w[D])
-    np.subtract(w[R], 1, out=w[T])
-    np.left_shift(1, w[T], out=w[T])
-    np.add(w[D], w[T], out=w[D])  # m 5^s - q 2^r + 2^(r-1), mod 2^64
-    np.right_shift(w.view(np.int64)[D], w.view(np.int64)[R], out=w.view(np.int64)[T])
-    np.add(w[Q], w[T], out=w[Q])  # rounded half up
-    np.left_shift(1, w[R], out=w[R])
-    np.subtract(w[R], 1, out=w[R])
-    np.bitwise_and(w[D], w[R], out=w[D])
-    np.equal(w[D], 0, out=m[1])  # a tie: rounded half down if that makes q even
-    np.bitwise_and(w[Q], 1, out=w[T])
-    np.multiply(w[T], m[1], out=w[T])
-    np.subtract(w[Q], w[T], out=w[Q])
-    while True:  # %g drops trailing zeros
-        np.remainder(w[Q], 10, out=w[T])
-        np.equal(w[T], 0, out=m[1])
-        if not np.count_nonzero(m[1]):
-            break
-        np.floor_divide(w[Q], 10, out=w[Q], where=m[1])
-        np.subtract(w[S], m[1], out=w[S])
-    np.logical_not(m[0], out=m[0])
-    if not np.count_nonzero(m[0]):  # most slices: plain ints, no object array
-        return w[S].tolist(), w[Q].tolist(), None
-    np.copyto(w[S], 17, where=m[0])
-    vals = w[Q].astype(object)
-    np.copyto(vals, x, where=m[0])
-    return w[S].tolist(), vals.tolist(), m[0].astype(np.intp)
+    digits, zeros, keeps, tens, fives = _tables()
+    m, lits = len(cols[0]), [pieces[0], *(p[4 if p[0] == "." else 1:] for p in pieces[1:])]
+    lits = [t + "\0" * (-len(t) % 4) for t in lits[:-1] + [lits[-1] + "\n"]]
+    buf = np.empty((2 * m, 24 * len(cols) + len("".join(lits))), np.uint8)
+    text, keep, o = buf[:m], buf[m:].view(bool), len(lits[0])
+    np.copyto(text, np.frombuffer(("\0" * 2 + "0." + "\0" * 20).join(lits).encode(), np.uint8))
+    np.not_equal(text, 0, out=keep)
+    w, f, b = np.empty((7, m), np.uint64), np.empty((2, m)), np.empty((2, m), bool)
+    d, z, k = np.empty((5, m), np.uint32), np.empty((4, m), np.uint8), np.empty((m, 24), bool)
+    (R, D, _, _, Q, S, T), g = w, w.view(np.int64)  # w[:5] ends as the 5 groups of 4 digits
+    for c, lit in zip(cols, lits[1:]):
+        if isinstance(c, range):
+            np.copyto(Q, np.arange(c.start, c.stop, c.step, dtype=np.uint64))
+            np.add(np.searchsorted(tens[1:16], Q, "right"), 68, out=g[5])  # 67 + its digits
+            np.copyto(b[0], True)
+        else:
+            np.greater_equal(c, 1e-4, out=b[0])
+            np.less(c, 1, out=b[1])
+            np.logical_and(b[0], b[1], out=b[0])
+            np.copyto(f[0], 0.3)  # a value in range where x is not
+            np.copyto(f[0], c, where=b[0])
+            np.copyto(S, 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
+            for p in (0.1, 0.01, 0.001):
+                np.add(S, np.less(f[0], p, out=b[1]), out=S)
+            np.take(tens, g[5], out=f[1])
+            np.multiply(f[1], f[0], out=f[1])
+            np.copyto(Q, f[1], casting="unsafe")  # within 13 of x 10^s
+            np.right_shift(f.view(np.uint64)[0], 52, out=R)
+            np.subtract(1075, R, out=R)
+            np.subtract(R, S, out=R)  # x = m 2^-(r + s)
+            np.bitwise_and(f.view(np.uint64)[0], 2**52 - 1, out=D)
+            np.bitwise_or(D, 2**52, out=D)
+            np.take(fives, g[5], out=T)
+            np.multiply(D, T, out=D)
+            np.left_shift(Q, R, out=T)
+            np.subtract(D, T, out=D)
+            np.subtract(R, 1, out=T)
+            np.left_shift(1, T, out=T)
+            np.add(D, T, out=D)  # m 5^s - q 2^r + 2^(r-1), mod 2^64
+            np.right_shift(g[1], g[0], out=g[6])
+            np.add(Q, T, out=Q)  # rounded half up
+            np.subtract(64, R, out=R)
+            np.left_shift(D, R, out=D)
+            np.equal(D, 0, out=b[1])  # a tie: rounded half down if that makes q even
+            np.bitwise_and(Q, 1, out=T)
+            np.subtract(Q, T, out=Q, where=b[1])
+            np.multiply(S, 17, out=S)
+            np.subtract(S, 17 * 17, out=S)  # 17 z for z = s - 17 leading zeros
+        for j in range(4, 0, -1):  # w[j - 1], w[j] = divmod(w[j], 10^4)
+            np.floor_divide(w[j], 10**4, out=w[j - 1])
+            np.multiply(w[j - 1], 10**4, out=T)
+            np.subtract(w[j], T, out=w[j])
+        np.copyto(text.view(np.uint32)[:, o // 4 + 1:o // 4 + 6], np.take(digits, g[:5], out=d).T)
+        if not isinstance(c, range):  # plus t, the trailing zeros of groups 4, 3, 2 and 1
+            np.take(zeros, g[1:5], out=z)
+            for j in (2, 1, 0):
+                np.add(z[3], z[j], out=z[3], where=np.equal(z[3], 12 - 4 * j, out=b[1]))
+            np.add(S, z[3], out=S)
+        np.copyto(keep[:, o:o + 24], np.take(keeps, g[5], axis=0, out=k))
+        if not b[0].all():  # the values outside [1e-4, 1), padded with spaces
+            rows = np.flatnonzero(np.logical_not(b[0], out=b[1]))
+            text[rows, o:o + 24] = fell = np.frombuffer(("%-24.17g" * len(rows) % tuple(
+                c[rows].tolist())).encode(), np.uint8).reshape(-1, 24)
+            keep[rows, o:o + 24] = fell != 32
+        o += 24 + len(lit)
+    del w, f, b, d, z, k, g, R, D, _, Q, S, T  # the scratch goes before the text is joined
+    return str(text[keep][:-1], "ascii")
 
 
 def _table(head, row: str, parts, tail=()):
     """The head lines, the rows of the parts in the printf template row, the tail lines.
 
-    A part is a list of equally long columns, the next rows.  Rows go _SLICE
-    at a time within a part, numpy slices through .tolist(): a slice's values,
-    row by row in one flat tuple, fill its rows' templates in one %, yielded as
-    one piece of newline-joined lines, so no text exists whole.  A %.17g field of a
-    float64 array becomes 0.%0*d on the widths and ints of _digits17, or %.*g in
-    the rows where its value falls outside [1e-4, 1)."""
+    A part is a list of equally long columns, the next rows.  Rows go _SLICE at a
+    time within a part, yielded as one piece of newline-joined lines, so no text
+    exists whole.  A slice whose fields are all %.17g on float64 arrays or %d on
+    ranges in [0, 2^53) is made as bytes by _ascii; any other fills its rows'
+    templates in one % from a flat tuple of its values (numpy's via .tolist())."""
     yield from head
     pieces = row.split("%")
 
-    @functools.cache
-    def forms(kernel):  # each row template by the mask of kernel fields that fall back
-        import numpy as np
-
-        return np.array([pieces[0] + "".join(("%.*g" if f >> j & 1 else "0.%0*d") + p[4:]
-                                             if k else "%" + p
-                                             for j, (k, p) in enumerate(zip(kernel, pieces[1:])))
-                         for f in range(2 ** len(kernel))], object)
-
     def piece(cols):  # the slice's text; its values go before it is written
-        kernel = tuple(p.startswith(".17g") and getattr(c, "dtype", None) == "float64"
-                       for p, c in zip(pieces[1:], cols))
-        w, m = len(cols) + sum(kernel), len(cols[0])
-        flat, a, out = [None] * (w * m), 0, 0
-        for j, (c, k) in enumerate(zip(cols, kernel)):
-            if k:
-                flat[a::w], flat[a + 1::w], fell = _digits17(c)
-                out = out if fell is None else out + (fell << j)
-            else:
-                flat[a::w] = c.tolist() if hasattr(c, "tolist") else c
-            a += 1 + k
-        lines = (forms(kernel)[out].tolist() if hasattr(out, "tolist")
-                 else [forms(kernel)[0] if any(kernel) else row] * m)
+        if all(getattr(c, "dtype", None) == "float64" if p.startswith(".17g") else p[0] == "d"
+               and isinstance(c, range) and 0 <= c[0] < 2**53 and 0 <= c[-1] < 2**53
+               for p, c in zip(pieces[1:], cols)):
+            return _ascii(pieces, cols)
+        w, m = len(cols), len(cols[0])
+        flat = [None] * (w * m)
+        for j, c in enumerate(cols):
+            flat[j::w] = c.tolist() if hasattr(c, "tolist") else c
         flat = tuple(flat)  # the list goes before the text is made
-        return "\n".join(lines) % flat
+        return "\n".join([row] * m) % flat
 
     for cols in parts:
         for s in range(0, len(cols[0]), _SLICE):

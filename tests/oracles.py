@@ -295,3 +295,12 @@ def least_squares_reference(points):
     sxy = sum(x * y for x, y in zip(xs, ys))
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     return slope, (sy - slope * sx) / n
+
+
+def printf_rows(row: str, cols):
+    """The rows of cols in the printf template row, one % a row, newline-joined.
+
+    numpy columns go through .tolist(), so each field formats a Python int or
+    float, as CPython's own % does."""
+    cols = [c.tolist() if hasattr(c, "tolist") else c for c in cols]
+    return "\n".join(row % values for values in zip(*cols))

@@ -23,6 +23,8 @@ from okamoto import Parameter, construct_iteration
 from okamoto.cli import main
 from okamoto.function import vertex_bytes
 
+from oracles import printf_rows
+
 SRC = str(Path(okamoto.__file__).resolve().parents[1])
 
 
@@ -487,7 +489,7 @@ _TEMPLATES = [
 _FIELD = r"%[.\d]*[dg]"
 _INTS = st.one_of(st.integers(), st.builds(lambda d, s: s * (10**d + 7), st.integers(4300, 4400),
                                            st.sampled_from((-1, 1))))  # past 4300 digits
-_UNIT = st.floats(1e-4, 1, exclude_max=True)  # where _digits17 gives the 17 digits
+_UNIT = st.floats(1e-4, 1, exclude_max=True)  # where the byte path makes the 17 digits
 _VALUES = {"f": st.floats(allow_subnormal=True),  # nan, -inf, inf and -0.0 too
            "i": _INTS,
            "q": st.builds(Fraction, _INTS, _INTS.filter(bool))}
@@ -509,6 +511,9 @@ def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
     floats = _VALUES["f"] if data.draw(st.booleans(), "any floats") else _UNIT
     cols = [data.draw(st.lists(floats if k == "f" else _VALUES[k], min_size=n, max_size=n))
             for k in kinds]
+    if row == "%.17g,%.17g,%d" and data.draw(st.booleans(), "steps as a range"):
+        start = data.draw(_INTS, "first step")  # a range, as cmd_chaos passes it
+        cols[2] = range(start, start + n)
     arrays = data.draw(st.booleans(), "float columns as float64 arrays")  # as numpy gives them
     printf_cols = [c for k, col in zip(kinds, cols)
                    for c in ([[q.numerator for q in col], [q.denominator for q in col]]
@@ -547,26 +552,23 @@ def test_printf_integer_fields_get_ints(capsys, monkeypatch):
 
 
 def _printed(xs):
-    """xs as _digits17 leaves them to print: 0.%0*d of width and digits, else %.*g."""
+    """xs as the byte path of _table prints them under %.17g, one a line."""
     import numpy as np
 
-    w, vals, out = okamoto.cli._digits17(np.array(xs, float))
-    fell = [0] * len(w) if out is None else out.tolist()
-    assert fell == [type(v) is float for v in vals]
-    return [("%.*g" if f else "0.%0*d") % (k, v) for k, v, f in zip(w, vals, fell)]
+    return okamoto.cli._ascii(["", ".17g"], [np.array(xs, float)]).split("\n")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_UNIT, min_size=1, max_size=40))
-def test_digits17_gives_the_17_digits_in_the_unit_range(xs):
+def test_byte_path_gives_the_17_digits_in_the_unit_range(xs):
     assert _printed(xs) == ["%.17g" % x for x in xs]
 
 
-def test_digits17_at_powers_of_ten_ties_and_grid_points():
+def test_byte_path_at_powers_of_ten_ties_and_grid_points():
     import numpy as np
 
     # 1000 ulps each side of 10^-k: the decade's comparisons and its top, where
-    # the digits must not carry; 1.0 and above fall back to %.*g
+    # the digits must not carry; 1.0 and above fall back to %.17g
     near = [float(x) for k in range(5)
             for x in (np.array(10.0**-k).view(np.int64) + np.arange(-1000, 1001)).view(float)]
     # odd j / 2^i in [10^(17-i), 10^(18-i)) have 18 significant digits, the last
@@ -581,16 +583,43 @@ def test_digits17_at_powers_of_ten_ties_and_grid_points():
     assert _printed(xs) == ["%.17g" % x for x in xs]
 
 
-def test_digits17_leaves_other_values_to_17g():
+def test_byte_path_leaves_other_values_to_17g():
     import numpy as np
 
     xs = [0.0, -0.0, 1.0, 1e-5, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
-          float(np.nextafter(1e-4, 0)), -0.5, 1e300, 0.5]
-    w, vals, out = okamoto.cli._digits17(np.array(xs))
-    assert out.tolist() == [1] * 12 + [0]
-    assert w[:12] == [17] * 12
-    assert [repr(v) for v in vals[:12]] == [repr(x) for x in xs[:12]]
+          float(np.nextafter(1e-4, 0)), -0.5, 1e300, 0.5, -2.2250738585072014e-308]
     assert _printed(xs) == ["%.17g" % x for x in xs]
+    # between other fields, where a fallback's 24 bytes must not spill into them
+    steps = range(2**53 - len(xs), 2**53)
+    assert (okamoto.cli._ascii(["", ".17g,", ".17g;", "d"], [np.array(xs), np.array(xs[::-1]), steps])
+            == printf_rows("%.17g,%.17g;%d", [xs, xs[::-1], steps]))
+
+
+def test_byte_path_prints_ranges_of_ints_at_every_width():
+    ints = [range(0, 12), range(2**53 - 3, 2**53), range(7, 100, 9),
+            *(range(10**k - 1, 10**k + 1) for k in range(1, 16))]
+    for r in ints:
+        assert okamoto.cli._ascii(["x=", "d;"], [r]) == printf_rows("x=%d;", [r])
+
+
+_BITS = st.one_of(st.integers(0, 2**64 - 1),  # any float64, nan and inf too
+                  st.builds(lambda e, f: e << 52 | f, st.integers(1009, 1022),
+                            st.integers(0, 2**52 - 1)))  # in [2^-14, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_float64_bit_patterns_print_as_the_per_row_loop_does(data):
+    import numpy as np
+
+    n = data.draw(st.integers(1, 30), "rows")
+    row = data.draw(st.sampled_from(["%.17g,%.17g", "%.17g,%.17g,%d"]), "row")
+    cols = [np.array(data.draw(st.lists(_BITS, min_size=n, max_size=n)), np.uint64).view(float)
+            for _ in range(2)]
+    cols += [range(data.draw(st.integers(0, 2**53 - n)), 2**53)[:n]] * row.endswith("d")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(okamoto.cli, "_SLICE", data.draw(st.integers(1, 8), "slice"))
+        assert "\n".join(okamoto.cli._table((), row, [cols])) == printf_rows(row, cols)
 
 
 # SHA-256 of the stdout of each command.  CLI output stays byte-identical
