@@ -191,6 +191,7 @@ def _write(path: str | None, lines) -> None:
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
         for line in lines:  # the line, then "\n": line + "\n" would copy a slice's text
             print(line, file=fh)
+            del line  # freed before _table makes the next slice
         fh.flush()
 
 

@@ -11,6 +11,7 @@ r(a, gamma) = 3 |1-2a|^gamma a^(1-gamma) with gamma the liminf digit ratio.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,6 @@ class RegionLabel(enum.Enum):
 class DerivativeTrace:
     """Slope products D_1..D_n along a digit stream, with digit statistics."""
 
-    a: Parameter
-    digits: TernaryExpansion
     values: tuple
     stats: DigitStats
     diverged: bool
@@ -101,6 +100,7 @@ def derivative_trace(a: Parameter, x: TernaryExpansion, n: int) -> DerivativeTra
     m_one = 3 - 6 * av
     m_other = 3 * av
     d = a.frac(1, 1)
+    size = abs if a.mode == "float" else _float_abs
     values = []
     max_abs = 0.0
     diverged = False
@@ -110,20 +110,24 @@ def derivative_trace(a: Parameter, x: TernaryExpansion, n: int) -> DerivativeTra
     for dig in x.digits[:n]:
         d = d * (m_one if dig == 1 else m_other)
         values.append(d)
-        ad = abs(d)
+        ad = size(d)
         if ad > max_abs:
             if ad > fmax:
                 diverged = True
             else:
                 max_abs = ad
-    return DerivativeTrace(
-        a=a,
-        digits=x,
-        values=tuple(values),
-        stats=digit_stats(x, n),
-        diverged=diverged,
-        max_abs=float(max_abs),
-    )
+    return DerivativeTrace(values=tuple(values), stats=digit_stats(x, n),
+                           diverged=diverged, max_abs=max_abs)
+
+
+def _float_abs(d: Fraction) -> float:
+    """|d| correctly rounded, inf past the float range: rounding is monotone, so the
+    largest is the float of the largest |d|, and only the largest float needs an exact test."""
+    try:
+        f = float(abs(d))  # int / int, which raises past the range
+    except OverflowError:
+        return math.inf
+    return math.inf if f == sys.float_info.max and abs(d) > f else f
 
 
 def generic_rate(a: Parameter, gamma: float) -> float:
@@ -229,15 +233,14 @@ def region_classify(a: Parameter) -> RegionClass:
     return RegionClass(label, *_DERIVATIVES[label], critical_a0())
 
 
-def nondiff_points(a: Parameter, i: int) -> list:
-    """The known dense family of non-differentiability points at level i.
+def nondiff_points(a: Parameter, i: int) -> tuple[range, int]:
+    """The known dense family of non-differentiability points at level i, in
+    increasing order: a.frac(k, den) for k in the range of (range, den).
 
-    For a in (0, 1/3): the half-grid points (2k+1) / (2 * 3**i).
-    For a in (1/3, 1/2) or (1/2, a0): the grid points k / 3**i.
+    For a in (0, 1/3): the half-grid points (2k+1) / (2 * 3**i), digits ending in 1s.
+    For a in (1/3, 1/2) or (1/2, a0): the grid points k / 3**i, ending in 0s (2s at 1).
     Elsewhere no finite family is available (for a >= a0 almost every point
     already qualifies), which is reported as an unsupported region.
-    A point takes 33 bytes as a float, 121 as a Fraction (32.2-32.9 B and
-    119-120 B measured at levels 9-11): float levels up to 15, exact up to 13.
     """
     if i < 0:
         raise DomainError("level must be >= 0")
@@ -246,14 +249,10 @@ def nondiff_points(a: Parameter, i: int) -> list:
             f"no finite non-differentiability family is known for a = {a}; "
             "supported ranges are (0, 1/3) and (1/3, 1/2) u (1/2, a0)"
         )
-    each = 33 if a.mode == "float" else 121
-    # 3^17 points are over budget in either mode, so no larger power of 3 is formed
-    check_budget((3 ** min(i, 17) + 1) * each, f"level {i}",
-                 f"3^{i} + 1 points of about {each} bytes each")
-    frac, n = a.frac, 3**i
-    if a.value < frac(1, 3):
-        return [frac(2 * k + 1, 2 * n) for k in range(n)]
-    return [frac(k, n) for k in range(n + 1)]
+    n = 3**i
+    if a.value < a.frac(1, 3):
+        return range(1, 2 * n, 2), 2 * n
+    return range(n + 1), n
 
 
 def _stream_digits(seed: int, index: int, n: int) -> "numpy.ndarray":

@@ -122,7 +122,6 @@ class IterationGraph:
 class AffineMap2D:
     """One plane contraction w(x, y) = (sx*x + tx, sy*y + ty)."""
 
-    index: int
     x_scale: Fraction | float
     x_offset: Fraction | float
     y_scale: Fraction | float
@@ -335,7 +334,7 @@ def ifs_maps(a: Parameter) -> tuple[AffineMap2D, AffineMap2D, AffineMap2D]:
     av, frac = a.value, a.frac
     third, two_thirds, zero = frac(1, 3), frac(2, 3), frac(0, 1)
     return (
-        AffineMap2D(1, third, zero, av, zero),
-        AffineMap2D(2, -third, two_thirds, 2 * av - 1, 1 - av),
-        AffineMap2D(3, third, two_thirds, av, 1 - av),
+        AffineMap2D(third, zero, av, zero),
+        AffineMap2D(-third, two_thirds, 2 * av - 1, 1 - av),
+        AffineMap2D(third, two_thirds, av, 1 - av),
     )

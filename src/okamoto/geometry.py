@@ -66,9 +66,6 @@ class MassSample:
 
     a: Parameter
     points: np.ndarray  # shape (n, 2)
-    weights: tuple[float, float, float]
-    seed: int
-    burn_in: int
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
                  for m in ifs_maps(Parameter(a.as_float())))
     idx = _map_indices(w, burn_in + n, seed)
     pts = _orbit(idx, maps, _lane_length(w, [m[2] for m in maps], burn_in + n))
-    return MassSample(a=a, points=pts[burn_in:], weights=w, seed=seed, burn_in=burn_in)
+    return MassSample(a=a, points=pts[burn_in:])
 
 
 def _map_indices(w, steps: int, seed: int):

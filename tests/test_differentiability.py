@@ -24,8 +24,9 @@ from okamoto import (
     find_a0,
     nondiff_points,
     region_classify,
+    to_ternary,
 )
-from okamoto.differentiability import generic_rate, random_digit_stream
+from okamoto.differentiability import _float_abs, generic_rate, random_digit_stream
 from okamoto.ternary import TernaryExpansion
 from oracles import derivative_trace_reference
 
@@ -88,7 +89,10 @@ def _assert_trace_matches_reference(av, digits, n):
     (0.99, (0,) * 4000),
     # alternating signs: both infinities
     (0.9, (1, 0) * 500),
-], ids=("nan-float", "zero-exact", "inf-float", "inf-signed"))
+    # exact values pass the float range (2.4 a step from m = 811) and come
+    # back under it (0.3 a step), where 2.4^820 * 0.3^7 is the largest below
+    (Fraction(1, 10), (1,) * 820 + (0,) * 20),
+], ids=("nan-float", "zero-exact", "inf-float", "inf-signed", "back-exact"))
 def test_trace_matches_reference_loop_past_overflow(av, digits):
     assert _assert_trace_matches_reference(av, digits, len(digits)).diverged
 
@@ -105,6 +109,15 @@ def test_trace_matches_reference_loop(exact, p, q, block, reps, data):
     if not exact:
         av = data.draw(st.sampled_from((float(av), 0.5, 0.99)))
     _assert_trace_matches_reference(av, digits, data.draw(st.integers(1, len(digits))))
+
+
+def test_exact_trace_sizes_values_that_round_to_the_largest_float():
+    fmax = Fraction(sys.float_info.max)
+    half_ulp = Fraction(2) ** 970  # fmax + half_ulp is a tie, rounded to even: 2^1024
+    assert _float_abs(fmax) == _float_abs(-fmax) == sys.float_info.max
+    assert _float_abs(fmax + half_ulp / 2) == math.inf  # rounds to fmax, lies above it
+    assert _float_abs(-fmax - half_ulp) == math.inf  # int / int overflows
+    assert _float_abs(fmax - half_ulp / 2) == sys.float_info.max
 
 
 def test_trace_domain_errors():
@@ -205,16 +218,24 @@ def test_region_classify_constant_on_open_regions():
             assert region_classify(Parameter(av)).label is label, av
 
 
+def _family(a, i):
+    """The points of nondiff_points(a, i), each a.frac(k, denominator)."""
+    nums, den = nondiff_points(a, i)
+    return [a.frac(k, den) for k in nums]
+
+
 def test_nondiff_points_low_region():
     a = Parameter(0.2)
-    assert nondiff_points(a, 0) == [0.5]
-    assert nondiff_points(a, 1) == [1 / 6, 0.5, 5 / 6]
-    exact = nondiff_points(Parameter(Fraction(1, 5)), 1)
+    assert nondiff_points(a, 1) == (range(1, 6, 2), 6)
+    assert _family(a, 0) == [0.5]
+    assert _family(a, 1) == [1 / 6, 0.5, 5 / 6]
+    exact = _family(Parameter(Fraction(1, 5)), 1)
     assert exact == [Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)]
 
 
 def test_nondiff_points_mid_region():
-    assert nondiff_points(Parameter(0.45), 1) == [0, 1 / 3, 2 / 3, 1]
+    assert nondiff_points(Parameter(0.45), 1) == (range(4), 3)
+    assert _family(Parameter(0.45), 1) == [0, 1 / 3, 2 / 3, 1]
 
 
 def test_nondiff_points_unsupported_regions():
@@ -225,9 +246,31 @@ def test_nondiff_points_unsupported_regions():
 
 def test_nondiff_points_sorted_inside_unit_interval():
     for av in (0.1, 0.4):
-        pts = nondiff_points(Parameter(av), 3)
+        pts = _family(Parameter(av), 3)
         assert pts == sorted(pts)
         assert 0 <= pts[0] and pts[-1] <= 1
+
+
+@pytest.mark.parametrize("av", [Fraction(1, 5), Fraction(1, 4), Fraction(3, 10),
+                                Fraction(2, 5), Fraction(9, 20), Fraction(11, 20),
+                                Fraction(111, 200)])
+def test_family_points_have_diverging_slope_products(av):
+    # every family point's digits end in one repeated digit: 1s forever at
+    # (2k+1)/(2*3^i), so each step multiplies D_m by rho = 3-6a, and 0s (2s
+    # at x = 1) at k/3^i, so by rho = 3a; |rho| > 1 makes D_m diverge, the
+    # digit view's verdict that classify_limit gives at the tail's ratio gamma
+    a = Parameter(av)
+    half_grid = av < Fraction(1, 3)
+    rho, gamma = (3 - 6 * av, 1) if half_grid else (3 * av, 0)
+    assert abs(rho) > 1
+    assert classify_limit(a, gamma) is LimitClass.DIVERGES
+    for i in range(4):
+        nums, den = nondiff_points(a, i)
+        assert den == (2 if half_grid else 1) * 3**i
+        for k in nums:
+            n = i + 60
+            d = (1, *derivative_trace(a, to_ternary(Fraction(k, den), n), n).values)
+            assert all(d[m] / d[m - 1] == rho for m in range(i + 1, n + 1)), (i, k)
 
 
 @pytest.mark.parametrize("seed", (0, 3, 12))
@@ -315,7 +358,7 @@ def test_exact_parameter_next_to_a_boundary(av, label, family):
     else:
         expected = ([Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)] if family == "half-grid"
                     else [Fraction(k, 3) for k in range(4)])
-        assert nondiff_points(a, 1) == expected
+        assert _family(a, 1) == expected
 
 
 def test_float_labels_against_mpmath_a0():
@@ -346,7 +389,7 @@ def test_float_labels_against_mpmath_a0():
         a = Parameter(av)
         assert region_classify(a).label is label, av
         if label is RegionLabel.AE_DIFFERENTIABLE:
-            assert len(nondiff_points(a, 1)) == (3 if av < 1 / 3 else 4), av
+            assert len(nondiff_points(a, 1)[0]) == (3 if av < 1 / 3 else 4), av
         else:
             with pytest.raises(UnsupportedRegionError):
                 nondiff_points(a, 1)
@@ -370,9 +413,10 @@ def test_size_checks_refuse_before_allocating():
     # an exact trace grows quadratically: 10^5 values at q = 5 need about 5 GB
     with pytest.raises(ResourceError):
         derivative_trace(Parameter(Fraction(3, 5)), TernaryExpansion((0,) * 10**5), 10**5)
-    # 3^30 points and 10^12 digits, refused before any list or array is made
-    with pytest.raises(ResourceError):
-        nondiff_points(Parameter(0.2), 30)
+    # 3^30 points are a range over one denominator, returned at once
+    nums, den = nondiff_points(Parameter(0.2), 30)
+    assert (len(nums), nums[-1], den) == (3**30, 2 * 3**30 - 1, 2 * 3**30)
+    # 10^12 digits, refused before any list or array is made
     with pytest.raises(ResourceError):
         random_digit_stream(0, 0, 10**12)
     assert time.perf_counter() - start < 1

@@ -81,7 +81,9 @@ def test_arithmetic_mode_of_results(exact_mode):
     values = [c for point in sample_graph(a, 2) for c in point]
     values += [getattr(w, f) for w in ifs_maps(a)
                for f in ("x_scale", "x_offset", "y_scale", "y_offset")]
-    values += nondiff_points(a, 2) + nondiff_points(param(1, 4), 2)
+    for b in (a, param(1, 4)):
+        nums, den = nondiff_points(b, 2)
+        values += [b.frac(k, den) for k in nums]
     assert all(type(c) is number for c in values)
 
 

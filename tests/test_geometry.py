@@ -493,7 +493,7 @@ def test_mass_grid_edges():
     a = Parameter(2 / 3)
 
     def sample(points):
-        return MassSample(a, np.array(points, dtype=float), chaos_weights(a), 0, 0)
+        return MassSample(a, np.array(points, dtype=float))
 
     # a coordinate of exactly 1.0 counts in the top cell
     rep = mass_bound_check(sample([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]), 2)
