@@ -234,8 +234,8 @@ def region_classify(a: Parameter) -> RegionClass:
 
 
 def nondiff_points(a: Parameter, i: int) -> tuple[range, int]:
-    """The known dense family of non-differentiability points at level i, in
-    increasing order: a.frac(k, den) for k in the range of (range, den).
+    """The known dense family of non-differentiability points at level i as
+    (numerators, den): the points a.frac(k, den) for k in numerators, increasing.
 
     For a in (0, 1/3): the half-grid points (2k+1) / (2 * 3**i), digits ending in 1s.
     For a in (1/3, 1/2) or (1/2, a0): the grid points k / 3**i, ending in 0s (2s at 1).

@@ -62,7 +62,7 @@ class DimensionEstimate:
 
 @dataclass(frozen=True)
 class MassSample:
-    """Chaos-game point cloud distributed per the natural measure on the graph."""
+    """Chaos-game points on the graph, distributed per the natural measure (chaos_weights(a))."""
 
     a: Parameter
     points: np.ndarray  # shape (n, 2)

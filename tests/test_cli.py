@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +206,26 @@ def test_iterate_peaks_near_construction(tmp_path, monkeypatch, av, level, fmt):
             tracemalloc.stop()
     run, depth = okamoto.function._BLOCK
     assert peaks[1] <= peaks[0] + (run * 3**depth + 1) * vertex_bytes(Parameter.parse(av), level)
+
+
+def test_write_releases_each_piece_before_the_next_is_made(tmp_path):
+    class Piece(str):  # a str that takes a weak reference
+        pass
+
+    refs = []
+
+    def piece(k):  # made with no name bound to it, as _table yields its slices
+        p = Piece(f"piece {k}")
+        refs.append(weakref.ref(p))
+        return p
+
+    def pieces():
+        for k in range(3):
+            assert all(r() is None for r in refs), "a written piece is still alive"
+            yield piece(k)
+
+    okamoto.cli._write(str(tmp_path / "f"), pieces())
+    assert (tmp_path / "f").read_text() == "piece 0\npiece 1\npiece 2\n"
 
 
 def test_a0_nan_tol_exits_with_one_line():
