@@ -308,20 +308,18 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
         P *= mults[d]
         S *= q
         used += 1
-        if not P:
-            return EvalResult(frac(V, S), frac(0, 1), used)
-        if abs(P) * c1 < c2 * S:
-            return EvalResult(frac(V, S), frac(abs(P) * tail_num, tail_den * S), used)
-    if not x.is_truncation:
-        # trailing zeros contribute nothing: the value is exact
-        return EvalResult(frac(V, S), frac(0, 1), used)
-    if abs(P) * c1 < c2 * S:  # no digit consumed, so the loop has not tested this yet
-        return EvalResult(frac(V, S), frac(abs(P) * tail_num, tail_den * S), used)
-    bound = float(frac(abs(P) * tail_num, tail_den * S))
-    raise PrecisionError(
-        f"{used} digits certify only {bound:.3g}, above tol {float(tol):.3g}",
-        achievable=bound,
-    )
+        if abs(P) * c1 < c2 * S:  # holds once P is 0, since c2 * S > 0
+            break
+    else:
+        if not x.is_truncation:
+            P = 0  # trailing zeros contribute nothing: the value is exact
+        elif not abs(P) * c1 < c2 * S:  # tested here too when no digit was consumed
+            bound = float(frac(abs(P) * tail_num, tail_den * S))
+            raise PrecisionError(
+                f"{used} digits certify only {bound:.3g}, above tol {float(tol):.3g}",
+                achievable=bound,
+            )
+    return EvalResult(frac(V, S), frac(abs(P) * tail_num, tail_den * S), used)
 
 
 def ifs_maps(a: Parameter) -> tuple[AffineMap2D, AffineMap2D, AffineMap2D]:

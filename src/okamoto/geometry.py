@@ -31,7 +31,6 @@ MASS_SLACK = 0.2  # share by which a cell's mass may pass its bound: sampling no
 class LengthProfile:
     """Per-level polyline lengths of the iterations f_0..f_imax."""
 
-    a: Parameter
     levels: tuple[int, ...]
     euclidean: tuple[float, ...]
     manhattan: tuple[float, ...]  # sum of |dx| + |dy| = 1 + total variation
@@ -42,7 +41,6 @@ class LengthProfile:
 class CoverProfile:
     """Column-cover areas and box counts per level, delta = 3^-i."""
 
-    a: Parameter
     levels: tuple[int, ...]
     delta: tuple[float, ...]
     area: tuple[float, ...]
@@ -114,7 +112,7 @@ def arc_length_profile(a: Parameter, i_max: int) -> LengthProfile:
             terms.append(c * two_k[k] * math.hypot(width, s_k[k] * r_k[i - k]))
             c = c * (i - k) // (k + 1)
         euclid.append(math.fsum(terms))
-    return LengthProfile(a, levels, tuple(euclid), tuple(1.0 + t for t in tv), tv)
+    return LengthProfile(levels, tuple(euclid), tuple(1.0 + t for t in tv), tv)
 
 
 def cover_profile(a: Parameter, i_max: int) -> CoverProfile:
@@ -124,7 +122,6 @@ def cover_profile(a: Parameter, i_max: int) -> CoverProfile:
     the minimal width-delta rectangle cover of f_i has area TV_i * delta."""
     levels, _, _, tv = _total_variation(a, i_max)
     return CoverProfile(
-        a,
         levels,
         tuple(3.0**-i for i in levels),
         tuple(t * 3.0**-i for i, t in zip(levels, tv)),
@@ -308,7 +305,7 @@ def _orbit(idx, maps, lane: int):
     import numpy as np
 
     pts = np.empty((len(idx), 2))
-    lanes = len(idx) // lane
+    lanes, lo, xy = len(idx) // lane, 0, (0.0, 0.0)
     if lanes >= _MIN_LANES:
         end = lanes * lane
         rows, steps = pts[:end].reshape(lanes, lane, 2), idx[:end].reshape(lanes, lane)
@@ -318,9 +315,8 @@ def _orbit(idx, maps, lane: int):
         starts[1:] = rows[:-1, -1]
         _lane_steps(rows, steps, table, starts, True)
         if np.array_equal(starts[1:].view(np.int64), rows[:-1, -1].view(np.int64)):
-            _scalar_steps(pts, idx, maps, end, rows[-1, -1].tolist())
-            return pts
-    _scalar_steps(pts, idx, maps, 0, (0.0, 0.0))
+            lo, xy = end, rows[-1, -1].tolist()
+    _scalar_steps(pts, idx, maps, lo, xy)
     return pts
 
 

@@ -47,9 +47,6 @@ class TernaryExpansion:
             if i < 0 or not 0 <= k <= 3**i:
                 raise DomainError(f"source ({k}, {i}) is not a point of [0,1]")
 
-    def __len__(self) -> int:
-        return len(self.digits)
-
     @property
     def is_one(self) -> bool:
         """True when the expansion is known to represent x = 1."""

@@ -303,6 +303,42 @@ def test_eval_float_mode_bit_identical_to_reference():
         _same_as_reference(av, x, 10.0 ** rng.uniform(-40, 0))
 
 
+def _exact_digit_sum(a: Fraction, digits):
+    """(sum, tail) of the digit series over digits at an exact a: the partial sum,
+
+    and the bound |prod m(d)| * max(a, 1-a) / (1 - max(a, |1-2a|)) on all after it."""
+    offsets, mults = (0, a, 1 - a), (a, 1 - 2 * a, a)
+    total, prod = Fraction(0), Fraction(1)
+    for d in digits:
+        total += prod * offsets[d]
+        prod *= mults[d]
+    return total, abs(prod) * max(a, 1 - a) / (1 - max(a, abs(1 - 2 * a)))
+
+
+@pytest.mark.xfail(strict=True, reason="the float error_bound ignores rounding (ROADMAP item 1)")
+@pytest.mark.parametrize("av, x, tol", [
+    *(pytest.param(av, to_ternary(4 / 9, 40), 1e-12, id=f"snapped-4/9-a={av}")
+      for av in (0.6, 0.7, 0.9)),
+    pytest.param(0.6, to_ternary(0.3, 200), 1e-30, id="x=0.3-tol=1e-30"),
+])
+def test_float_certificate_bounds_the_error_at_the_float_a(av, x, tol):
+    # a float a is the dyadic rational Fraction(av), which exact arithmetic
+    # evaluates exactly on the same digits.  A snapped x is bounded against
+    # its source k/3^i.  A truncation's digits fix F_a only to within their
+    # exact tail, so that tail is added to the claimed bound.  A refusal
+    # claims no bound, so it passes if it names one above tol.
+    try:
+        r = eval_digit_series(Parameter(av), x, tol)
+    except PrecisionError as exc:
+        assert exc.achievable > tol
+        return
+    digits = ternary_rational(*x.source).digits if x.source else x.digits[:r.digits_used]
+    exact, tail = _exact_digit_sum(Fraction(av), digits)
+    if not x.is_truncation:
+        tail = 0
+    assert abs(Fraction(r.value) - exact) <= Fraction(r.error_bound) + tail
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=_a_fraction, exact_mode=st.booleans())
 @example(a=Fraction(1, 2), exact_mode=True)
