@@ -313,7 +313,7 @@ def eval_digit_series(a: Parameter, x: TernaryExpansion, tol) -> EvalResult:
     else:
         if not x.is_truncation:
             P = 0  # trailing zeros contribute nothing: the value is exact
-        elif not abs(P) * c1 < c2 * S:  # tested here too when no digit was consumed
+        elif not abs(P) * c1 < c2 * S:  # the only test when no digit was consumed
             bound = float(frac(abs(P) * tail_num, tail_den * S))
             raise PrecisionError(
                 f"{used} digits certify only {bound:.3g}, above tol {float(tol):.3g}",
