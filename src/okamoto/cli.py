@@ -34,7 +34,9 @@ from .function import Parameter, _level_blocks, eval_digit_series, parse_real, s
 from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
 
-_SLICE = 4096  # rows formatted at a time; as fast as 16384, whose freed pieces grow the heap
+# Rows formatted at a time.  16384 formats about 20 % faster, but its larger pieces
+# add 2.6 MB to the peak of chaos and iterate, which glibc's heap keeps.
+_SLICE = 4096
 _SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">',
              '  <polyline fill="none" stroke="black" stroke-width="0.002" points="')
 
@@ -46,17 +48,16 @@ def _num(a: Parameter, v) -> str:
 
 @functools.cache
 def _tables():
-    """_ascii's tables: each k < 10^4 as 4 ASCII digits in a uint32; its trailing zeros;
-    the bytes of a field to keep, at 17 z + t for 0., z zeros and 17 digits less t
-    trailing zeros, and at 67 + k for a k-digit int; 10.0^s; 5^s."""
+    """_ascii's tables: 4-digit groups as 4 ASCII bytes in a uint32, each k < 10^4 at k
+    plain, at 10^4 + k with its trailing zeros as NUL and at 2 10^4 + k with its leading
+    zeros as NUL; at 3 10^4 + 10 z + d, a float's group 0: z zeros, then its leading
+    digit d; 10.0^s; 5^s."""
     import numpy as np
 
-    k = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
-    p = np.arange(24)
-    return ((k + 48).astype(np.uint8).view(np.uint32).ravel(),
-            np.cumprod(k[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(1, dtype=np.uint8),
-            np.array([(p == 2) | (p == 3) | (7 - z <= p) & (p <= 23 - t) for z in range(4)
-                      for t in range(17)] + [p >= 24 - n for n in range(1, 21)]),
+    k = [f"{k:04}" for k in range(10**4)]
+    k += ([g.rstrip("0").ljust(4, "\0") for g in k] + [g.lstrip("0").rjust(4, "\0") for g in k]
+          + [("0" * z + str(d)).rjust(4, "\0") for z in range(4) for d in range(10)])
+    return (np.frombuffer("".join(k).encode(), np.uint32),
             10.0 ** np.arange(21), 5 ** np.arange(21, dtype=np.uint64))
 
 
@@ -64,11 +65,16 @@ def _ascii(pieces, cols):
     """The rows of cols under the template pieces, newline-joined, made as bytes: each
     field is %.17g on a float64 array or %d on a range of ints in [0, 2^53).
 
-    A row of text is a row of a 2-D uint8 array: a field's 24 bytes hold 20 digits
-    written 4 at a time, or Python's %.17g text of a value outside [1e-4, 1).  A table
-    row, by the counts of leading and trailing zeros, marks the bytes to keep in a
-    second array, and one boolean-mask compaction joins the rows.  The scratch arrays are
-    made together, as scattered 1-D temporaries pin glibc's heap, and freed before it.
+    A row of text is a row of a 2-D uint8 array over a bytearray of m copies of the row
+    template; one translate drops its NUL bytes and so joins the rows, which is why a
+    template literal must hold no NUL.  A field's 24 bytes hold a float's "0." and 20
+    digits written 4 at a time from _tables, or Python's %.17g text of a value outside
+    [1e-4, 1), padded with NUL.  Of the three variants of a group, a float's 17 digits
+    take groups 1 to 4 plain up to the last non-zero one and trailing-stripped from there
+    on, and group 0 from the entries for its z leading zeros; an int's take the leading-
+    stripped variant up to the first non-zero group, and the int 0 the entry "0".  The
+    scratch arrays are made together, as scattered 1-D temporaries pin glibc's heap, and
+    freed before the join.
 
     For x = m 2^-e in [1e-4, 1), s = 16 - floor(log10 x) is 17 plus the count of
     0.1, 0.01 and 0.001 above x: each float lies at or above its power of ten.
@@ -79,20 +85,19 @@ def _ascii(pieces, cols):
     ten lies more than half a unit of the 17th digit under it."""
     import numpy as np
 
-    digits, zeros, keeps, tens, fives = _tables()
+    groups, tens, fives = _tables()
     m, lits = len(cols[0]), [pieces[0], *(p[4 if p[0] == "." else 1:] for p in pieces[1:])]
     lits = [t + "\0" * (-len(t) % 4) for t in lits[:-1] + [lits[-1] + "\n"]]
-    buf = np.empty((2 * m, 24 * len(cols) + len("".join(lits))), np.uint8)
-    text, keep, o = buf[:m], buf[m:].view(bool), len(lits[0])
-    np.copyto(text, np.frombuffer(("\0" * 2 + "0." + "\0" * 20).join(lits).encode(), np.uint8))
-    np.not_equal(text, 0, out=keep)
+    row = "".join(t + ("\0" * 24 if isinstance(c, range) else "\0\0" "0." + "\0" * 20)
+                  for t, c in zip(lits, cols)) + lits[-1]
+    raw, o = bytearray(row.encode()) * m, len(lits[0])
+    text = np.frombuffer(raw, np.uint8).reshape(m, len(row))
     w, f, b = np.empty((7, m), np.uint64), np.empty((2, m)), np.empty((2, m), bool)
-    d, z, k = np.empty((5, m), np.uint32), np.empty((4, m), np.uint8), np.empty((m, 24), bool)
+    d = np.empty((5, m), np.uint32)
     (R, D, _, _, Q, S, T), g = w, w.view(np.int64)  # w[:5] ends as the 5 groups of 4 digits
     for c, lit in zip(cols, lits[1:]):
         if isinstance(c, range):
             np.copyto(Q, np.arange(c.start, c.stop, c.step, dtype=np.uint64))
-            np.add(np.searchsorted(tens[1:16], Q, "right"), 68, out=g[5])  # 67 + its digits
             np.copyto(b[0], True)
         else:
             np.greater_equal(c, 1e-4, out=b[0])
@@ -125,27 +130,30 @@ def _ascii(pieces, cols):
             np.equal(D, 0, out=b[1])  # a tie: rounded half down if that makes q even
             np.bitwise_and(Q, 1, out=T)
             np.subtract(Q, T, out=Q, where=b[1])
-            np.multiply(S, 17, out=S)
-            np.subtract(S, 17 * 17, out=S)  # 17 z for z = s - 17 leading zeros
         for j in range(4, 0, -1):  # w[j - 1], w[j] = divmod(w[j], 10^4)
             np.floor_divide(w[j], 10**4, out=w[j - 1])
             np.multiply(w[j - 1], 10**4, out=T)
             np.subtract(w[j], T, out=w[j])
-        np.copyto(text.view(np.uint32)[:, o // 4 + 1:o // 4 + 6], np.take(digits, g[:5], out=d).T)
-        if not isinstance(c, range):  # plus t, the trailing zeros of groups 4, 3, 2 and 1
-            np.take(zeros, g[1:5], out=z)
-            for j in (2, 1, 0):
-                np.add(z[3], z[j], out=z[3], where=np.equal(z[3], 12 - 4 * j, out=b[1]))
-            np.add(S, z[3], out=S)
-        np.copyto(keep[:, o:o + 24], np.take(keeps, g[5], axis=0, out=k))
-        if not b[0].all():  # the values outside [1e-4, 1), padded with spaces
+        np.copyto(T, 2 * 10**4 if isinstance(c, range) else 10**4)  # while the groups are 0
+        for j in range(5) if isinstance(c, range) else range(4, 0, -1):
+            np.add(w[j], T, out=w[j])
+            np.copyto(T, 0, where=np.not_equal(w[j], T, out=b[1]))
+        if isinstance(c, range):  # the int 0: group 4 at 3 10^4, the entry "0"
+            np.right_shift(T, 1, out=T)
+            np.add(Q, T, out=Q)
+        else:  # group 0 at 3 10^4 + 10 z + d, for s = 17 + z
+            np.multiply(S, 10, out=S)
+            np.add(R, S, out=R)
+            np.add(R, 3 * 10**4 - 170, out=R)
+        np.copyto(text.view(np.uint32)[:, o // 4 + 1:o // 4 + 6], np.take(groups, g[:5], out=d).T)
+        if not b[0].all():  # the values outside [1e-4, 1), padded with NUL
             rows = np.flatnonzero(np.logical_not(b[0], out=b[1]))
-            text[rows, o:o + 24] = fell = np.frombuffer(("%-24.17g" * len(rows) % tuple(
-                c[rows].tolist())).encode(), np.uint8).reshape(-1, 24)
-            keep[rows, o:o + 24] = fell != 32
+            text[rows, o:o + 24] = np.frombuffer(("%-24.17g" * len(rows) % tuple(
+                c[rows].tolist())).replace(" ", "\0").encode(), np.uint8).reshape(-1, 24)
         o += 24 + len(lit)
-    del w, f, b, d, z, k, g, R, D, _, Q, S, T  # the scratch goes before the text is joined
-    return str(text[keep][:-1], "ascii")
+    del w, f, b, d, g, R, D, _, Q, S, T  # the scratch goes before the text is joined
+    text[-1, row.rindex("\n")] = 0  # the last newline
+    return raw.translate(None, b"\0").decode("ascii")
 
 
 def _table(head, row: str, parts, tail=()):

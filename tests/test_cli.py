@@ -600,8 +600,27 @@ def test_byte_path_at_powers_of_ten_ties_and_grid_points():
     assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties)
     assert {int(("%.17e" % x)[17]) % 2 for x in ties} == {0, 1}  # both ways round
     grid = (np.arange(3**11 + 1) / 3**11).tolist()  # iterate's x at level 11
-    xs = near + ties + grid + [float(np.nextafter(1, 0)), 0.5, 0.25, 1e-4]
+    # 2^-k down to 2^-13 > 1e-4: 17 digits that end in whole groups of 4 zeros,
+    # after 0 to 3 leading zeros
+    dyadics = [2.0**-k for k in range(1, 14)]
+    assert {("%.17e" % x)[-3:] for x in dyadics} == {"-01", "-02", "-03", "-04"}
+    xs = near + ties + grid + dyadics + [float(np.nextafter(1, 0)), 0.5, 0.25, 1e-4]
     assert _printed(xs) == ["%.17g" % x for x in xs]
+
+
+def test_digit_tables_hold_each_group_plain_and_stripped():
+    groups = okamoto.cli._tables()[0]
+
+    def text(i):  # the 4 bytes at index i, with their NULs dropped
+        return groups[i:i + 1].tobytes().replace(b"\0", b"").decode("ascii")
+
+    for k in range(10**4):
+        g = "%04d" % k
+        assert (text(k), text(10**4 + k), text(2 * 10**4 + k)) == (g, g.rstrip("0"), g.lstrip("0"))
+    # a float's group 0: z leading zeros, then its leading digit d
+    assert [text(3 * 10**4 + 10 * z + d) for z in range(4) for d in range(10)] == [
+        "0" * z + str(d) for z in range(4) for d in range(10)]
+    assert len(groups) == 3 * 10**4 + 40
 
 
 def test_byte_path_leaves_other_values_to_17g():
