@@ -89,14 +89,15 @@ def _ascii(pieces, cols):
     m, lits = len(cols[0]), [pieces[0], *(p[4 if p[0] == "." else 1:] for p in pieces[1:])]
     lits = [t + "\0" * (-len(t) % 4) for t in lits[:-1] + [lits[-1] + "\n"]]
     row = "".join(t + ("\0" * 24 if isinstance(c, range) else "\0\0" "0." + "\0" * 20)
-                  for t, c in zip(lits, cols)) + lits[-1]
+                  for t, c in zip(lits, cols)) + lits[-1]  # an int's field has no "0."
     raw, o = bytearray(row.encode()) * m, len(lits[0])
     text = np.frombuffer(raw, np.uint8).reshape(m, len(row))
     w, f, b = np.empty((7, m), np.uint64), np.empty((2, m)), np.empty((2, m), bool)
     d = np.empty((5, m), np.uint32)
     (R, D, _, _, Q, S, T), g = w, w.view(np.int64)  # w[:5] ends as the 5 groups of 4 digits
     for c, lit in zip(cols, lits[1:]):
-        if isinstance(c, range):
+        ints = isinstance(c, range)
+        if ints:
             np.copyto(Q, np.arange(c.start, c.stop, c.step, dtype=np.uint64))
             np.copyto(b[0], True)
         else:
@@ -134,11 +135,12 @@ def _ascii(pieces, cols):
             np.floor_divide(w[j], 10**4, out=w[j - 1])
             np.multiply(w[j - 1], 10**4, out=T)
             np.subtract(w[j], T, out=w[j])
-        np.copyto(T, 2 * 10**4 if isinstance(c, range) else 10**4)  # while the groups are 0
-        for j in range(5) if isinstance(c, range) else range(4, 0, -1):
+        # T, a stripped variant's offset while the groups passed (an int's from the left) are 0
+        np.copyto(T, 2 * 10**4 if ints else 10**4)
+        for j in range(5) if ints else range(4, 0, -1):
             np.add(w[j], T, out=w[j])
             np.copyto(T, 0, where=np.not_equal(w[j], T, out=b[1]))
-        if isinstance(c, range):  # the int 0: group 4 at 3 10^4, the entry "0"
+        if ints:  # T is left 2 10^4 at the int 0 only: its group 4 goes to 3 10^4, "0"
             np.right_shift(T, 1, out=T)
             np.add(Q, T, out=Q)
         else:  # group 0 at 3 10^4 + 10 z + d, for s = 17 + z
