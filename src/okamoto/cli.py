@@ -9,7 +9,9 @@ A command computes its result (iterate: checks its level, then refines a block
 at a time) before its lines are streamed, so a failing command writes nothing.
 Tables and polylines are formatted a slice at a time as they are written, each
 slice by one printf-style % on its rows' templates, or built as bytes by numpy
-where every field is %.17g on a float64 array or %d on a range.
+where every field is %.17g on a float64 array or %d on a range or an int64
+array in [0, 2^53): the chaos CSV, and the iterate CSV of a float a and of an
+exact a = p/q with q^i < 2^53.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
@@ -29,7 +31,7 @@ from .differentiability import (
     find_a0,
     region_classify,
 )
-from .errors import DomainError, OkamotoError, PrecisionError
+from .errors import DomainError, OkamotoError, PrecisionError, check_budget
 from .function import Parameter, _level_blocks, eval_digit_series, parse_real, series_digits
 from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
 from .ternary import TernaryExpansion, to_ternary
@@ -54,27 +56,34 @@ def _tables():
     digit d; 10.0^s; 5^s."""
     import numpy as np
 
-    k = [f"{k:04}" for k in range(10**4)]
-    k += ([g.rstrip("0").ljust(4, "\0") for g in k] + [g.lstrip("0").rjust(4, "\0") for g in k]
-          + [("0" * z + str(d)).rjust(4, "\0") for z in range(4) for d in range(10)])
-    return (np.frombuffer("".join(k).encode(), np.uint32),
+    # the 4 digits of each k as a row of uint8: 3 10^4 strings took 1 MB of a process's peak
+    k = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    plain, seen = (k + 48).astype(np.uint8), k > 0
+    first = b"".join(bytes(3 - z) + b"0" * z + bytes([48 + d]) for z in range(4) for d in range(10))
+    groups = np.concatenate([plain, plain * np.logical_or.accumulate(seen[:, ::-1], 1)[:, ::-1],
+                             plain * np.logical_or.accumulate(seen, 1),
+                             np.frombuffer(first, np.uint8).reshape(40, 4)])
+    return (groups.view(np.uint32).ravel(),
             10.0 ** np.arange(21), 5 ** np.arange(21, dtype=np.uint64))
 
 
 def _ascii(pieces, cols):
     """The rows of cols under the template pieces, newline-joined, made as bytes: each
-    field is %.17g on a float64 array or %d on a range of ints in [0, 2^53).
+    field is %.17g on a float64 array, or %d on a range or an int64 array of ints in
+    [0, 2^53).
 
     A row of text is a row of a 2-D uint8 array over a bytearray of m copies of the row
     template; one translate drops its NUL bytes and so joins the rows, which is why a
-    template literal must hold no NUL.  A field's 24 bytes hold a float's "0." and 20
-    digits written 4 at a time from _tables, or Python's %.17g text of a value outside
-    [1e-4, 1), padded with NUL.  Of the three variants of a group, a float's 17 digits
-    take groups 1 to 4 plain up to the last non-zero one and trailing-stripped from there
-    on, and group 0 from the entries for its z leading zeros; an int's take the leading-
-    stripped variant up to the first non-zero group, and the int 0 the entry "0".  The
-    scratch arrays are made together, as scattered 1-D temporaries pin glibc's heap, and
-    freed before the join.
+    template literal must be ASCII with no NUL.  Literals and fields follow each other
+    unpadded, and a field's 4-digit groups from _tables are written through a uint32
+    view of its bytes, at whatever offset it starts.  A float's 24 bytes hold "0." and
+    20 digits after 2 NULs, or Python's %.17g text of a value outside [1e-4, 1), padded
+    with NUL; an int's hold as many groups as the slice's largest value needs.  Of the
+    three variants of a group, a float's 17 digits take groups 1 to 4 plain up to the last
+    non-zero one and trailing-stripped from there on, and group 0 from the entries for its
+    z leading zeros; an int's take the leading-stripped variant up to the first non-zero
+    group, and the int 0 the entry "0".  The scratch arrays are made together, as
+    scattered 1-D temporaries pin glibc's heap, and freed before the join.
 
     For x = m 2^-e in [1e-4, 1), s = 16 - floor(log10 x) is 17 plus the count of
     0.1, 0.01 and 0.001 above x: each float lies at or above its power of ten.
@@ -87,19 +96,21 @@ def _ascii(pieces, cols):
 
     groups, tens, fives = _tables()
     m, lits = len(cols[0]), [pieces[0], *(p[4 if p[0] == "." else 1:] for p in pieces[1:])]
-    lits = [t + "\0" * (-len(t) % 4) for t in lits[:-1] + [lits[-1] + "\n"]]
-    row = "".join(t + ("\0" * 24 if isinstance(c, range) else "\0\0" "0." + "\0" * 20)
-                  for t, c in zip(lits, cols)) + lits[-1]  # an int's field has no "0."
+    lits[-1] += "\n"
+    cols = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in cols]
+    int_field = [p[0] == "d" for p in pieces[1:]]
+    # a field's first group of the 5 of w: a float's group 0, an int's first one its slice needs
+    firsts = [5 - (len(str(c.max())) + 3) // 4 if i else 0 for i, c in zip(int_field, cols)]
+    row = "".join(t + ("\0" * 4 * (5 - j) if i else "\0\0" "0." + "\0" * 20)
+                  for t, i, j in zip(lits, int_field, firsts)) + lits[-1]  # an int's has no "0."
     raw, o = bytearray(row.encode()) * m, len(lits[0])
     text = np.frombuffer(raw, np.uint8).reshape(m, len(row))
     w, f, b = np.empty((7, m), np.uint64), np.empty((2, m)), np.empty((2, m), bool)
     d = np.empty((5, m), np.uint32)
-    (R, D, _, _, Q, S, T), g = w, w.view(np.int64)  # w[:5] ends as the 5 groups of 4 digits
-    for c, lit in zip(cols, lits[1:]):
-        ints = isinstance(c, range)
+    (R, D, _, _, Q, S, T), g = w, w.view(np.int64)  # w[first:5] ends as the groups of 4 digits
+    for c, ints, lit, first in zip(cols, int_field, lits[1:], firsts):
         if ints:
-            np.copyto(Q, np.arange(c.start, c.stop, c.step, dtype=np.uint64))
-            np.copyto(b[0], True)
+            np.copyto(Q, c, casting="unsafe")
         else:
             np.greater_equal(c, 1e-4, out=b[0])
             np.less(c, 1, out=b[1])
@@ -107,8 +118,8 @@ def _ascii(pieces, cols):
             np.copyto(f[0], 0.3)  # a value in range where x is not
             np.copyto(f[0], c, where=b[0])
             np.copyto(S, 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
-            for p in (0.1, 0.01, 0.001):
-                np.add(S, np.less(f[0], p, out=b[1]), out=S)
+            for t in (0.1, 0.01, 0.001):
+                np.add(S, np.less(f[0], t, out=b[1]), out=S)
             np.take(tens, g[5], out=f[1])
             np.multiply(f[1], f[0], out=f[1])
             np.copyto(Q, f[1], casting="unsafe")  # within 13 of x 10^s
@@ -131,13 +142,13 @@ def _ascii(pieces, cols):
             np.equal(D, 0, out=b[1])  # a tie: rounded half down if that makes q even
             np.bitwise_and(Q, 1, out=T)
             np.subtract(Q, T, out=Q, where=b[1])
-        for j in range(4, 0, -1):  # w[j - 1], w[j] = divmod(w[j], 10^4)
+        for j in range(4, first, -1):  # w[j - 1], w[j] = divmod(w[j], 10^4)
             np.floor_divide(w[j], 10**4, out=w[j - 1])
             np.multiply(w[j - 1], 10**4, out=T)
             np.subtract(w[j], T, out=w[j])
         # T, a stripped variant's offset while the groups passed (an int's from the left) are 0
         np.copyto(T, 2 * 10**4 if ints else 10**4)
-        for j in range(5) if ints else range(4, 0, -1):
+        for j in range(first, 5) if ints else range(4, 0, -1):
             np.add(w[j], T, out=w[j])
             np.copyto(T, 0, where=np.not_equal(w[j], T, out=b[1]))
         if ints:  # T is left 2 10^4 at the int 0 only: its group 4 goes to 3 10^4, "0"
@@ -147,14 +158,16 @@ def _ascii(pieces, cols):
             np.multiply(S, 10, out=S)
             np.add(R, S, out=R)
             np.add(R, 3 * 10**4 - 170, out=R)
-        np.copyto(text.view(np.uint32)[:, o // 4 + 1:o // 4 + 6], np.take(groups, g[:5], out=d).T)
-        if not b[0].all():  # the values outside [1e-4, 1), padded with NUL
+        at, width = (o, 4 * (5 - first)) if ints else (o + 4, 20)
+        np.copyto(text[:, at:at + width].view(np.uint32),
+                  np.take(groups, g[first:5], out=d[first:]).T)
+        if not ints and not b[0].all():  # the values outside [1e-4, 1), padded with NUL
             rows = np.flatnonzero(np.logical_not(b[0], out=b[1]))
             text[rows, o:o + 24] = np.frombuffer(("%-24.17g" * len(rows) % tuple(
                 c[rows].tolist())).replace(" ", "\0").encode(), np.uint8).reshape(-1, 24)
-        o += 24 + len(lit)
+        o = at + width + len(lit)
     del w, f, b, d, g, R, D, _, Q, S, T  # the scratch goes before the text is joined
-    text[-1, row.rindex("\n")] = 0  # the last newline
+    text[-1, -1] = 0  # the last newline
     return raw.translate(None, b"\0").decode("ascii")
 
 
@@ -164,15 +177,22 @@ def _table(head, row: str, parts, tail=()):
     A part is a list of equally long columns, the next rows.  Rows go _SLICE at a
     time within a part, yielded as one piece of newline-joined lines, so no text
     exists whole.  A slice whose fields are all %.17g on float64 arrays or %d on
-    ranges in [0, 2^53) is made as bytes by _ascii; any other fills its rows'
-    templates in one % from a flat tuple of its values (numpy's via .tolist())."""
+    ranges or int64 arrays in [0, 2^53) is made as bytes by _ascii; any other fills
+    its rows' templates in one % from a flat tuple of its values (numpy's via
+    .tolist())."""
     yield from head
     pieces = row.split("%")
 
+    def fits(p, c):  # whether _ascii can make field p of the column c
+        if p.startswith(".17g"):
+            return getattr(c, "dtype", None) == "float64"
+        if isinstance(c, range):
+            return p[0] == "d" and 0 <= min(c[0], c[-1]) and max(c[0], c[-1]) < 2**53
+        return (p[0] == "d" and getattr(c, "dtype", None) == "int64"
+                and 0 <= c.min() and c.max() < 2**53)
+
     def piece(cols):  # the slice's text; its values go before it is written
-        if all(getattr(c, "dtype", None) == "float64" if p.startswith(".17g") else p[0] == "d"
-               and isinstance(c, range) and 0 <= c[0] < 2**53 and 0 <= c[-1] < 2**53
-               for p, c in zip(pieces[1:], cols)):
+        if all(map(fits, pieces[1:], cols)):
             return _ascii(pieces, cols)
         w, m = len(cols), len(cols[0])
         flat = [None] * (w * m)
@@ -238,9 +258,12 @@ def cmd_iterate(args, a):
 
     den, blocks = _level_blocks(a, args.level)
     n = 3**args.level
+    small = a.mode == "exact" and den < 2**53  # 0 <= v <= den: int64 holds the numerators
 
     def columns(lo, v):  # x = k / n: the same bits as k / n in Python for n <= 2^53
         k = np.arange(lo, lo + len(v))
+        if small:  # v / den then rounds once too, and gcd and // give Python's ints
+            v = v.astype(np.int64)
         if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
             return k / n, 1 - v / den
         if a.mode == "float":
@@ -284,6 +307,11 @@ def cmd_derivative(args, a):
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
     v = tr.values  # exact D_m as two columns, p and q
+    if a.mode == "exact":  # a slice's text is made whole: log10(2) digits a bit, 32 for the rest
+        size = [(d.numerator.bit_length() + d.denominator.bit_length()) * 0.30103 + 32 for d in v]
+        need = int(max(sum(size[s:s + _SLICE]) for s in range(0, args.n, _SLICE)))
+        check_budget(need, f"the text of {min(args.n, _SLICE)} trace rows",
+                     f"about {need >> 20} MiB, as D_m prints in full")
     row, cols = (("%d,%d,%d/%d", ([d.numerator for d in v], [d.denominator for d in v]))
                  if a.mode == "exact" else ("%d,%d,%.17g", (v,)))
     return _table((_header(a), "m,digit,D_m"), row, [(range(1, args.n + 1), x.digits, *cols)],

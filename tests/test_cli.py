@@ -301,6 +301,29 @@ def test_size_limits_exit_with_one_line(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_exact_derivative_refuses_a_slice_whose_text_is_over_budget(capsys, monkeypatch):
+    # at 3/5, x = 0 and n = 3000 the trace is sized at 4.8 MB and its one slice at 7.5 MB
+    # of text (1.65 digits a row per m, as D_m = 9^m / 5^m)
+    argv = ["derivative", "--a", "3/5", "--x", "0", "--n", "3000"]
+    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 6 * 2**20)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("okamoto: error: the text of 3000 trace rows needs over 6 MiB")
+    assert err.count("\n") == 1
+    assert run(capsys, "derivative", "--a", "0.6", "--x", "1/7", "--n", "3000")[0] == 0  # float
+    monkeypatch.setattr(okamoto.cli, "_SLICE", 1000)  # the last slice, rows 2001-3000: 4.2 MB
+    assert run(capsys, *argv)[0] == 0
+    # slices of 1500 rows: 1.9 MB, then 5.6 MB, against a budget of 5 MiB
+    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 5 * 2**20)
+    monkeypatch.setattr(okamoto.cli, "_SLICE", 1500)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("okamoto: error: the text of 1500 trace rows needs over 5 MiB")
+    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 8 * 2**20)
+    monkeypatch.setattr(okamoto.cli, "_SLICE", 4096)
+    assert run(capsys, *argv)[0] == 0
+
+
 _JUNK = st.text(max_size=8)
 _REAL = st.one_of(st.floats(0, 1).map(repr), st.integers(-1, 10).map(str),
                   st.builds("{}/{}".format, st.integers(-1, 30), st.integers(0, 30)), _JUNK)
@@ -411,18 +434,40 @@ def test_iterate_csv_and_svg(capsys, tmp_path):
     assert 'viewBox="0 0 1 1"' in body
 
 
-@pytest.mark.parametrize("av", ("7/9", f"{10**30 - 1}/{10**30}"), ids=("7/9", "1-10^-30"))
-def test_exact_iterate_rows_are_the_vertices(capsys, av):
-    # rows print k/3^i and the vertex in lowest terms; SVG points are their floats
-    ys = construct_iteration(Parameter.parse(av), 5).vertices
-    xs = [Fraction(k, 3**5) for k in range(len(ys))]
-    code, out, _ = run(capsys, "iterate", "--a", av, "--level", "5")
+@pytest.mark.parametrize("av, level, small", [
+    ("7/9", 5, True), (f"{10**30 - 1}/{10**30}", 5, False), ("3/5", 6, True),
+    ("7/94906265", 2, True), ("7/94906267", 2, False), ("94906264/94906265", 1, True),
+], ids=("7/9", "1-10^-30", "3/5", "q^2 below 2^53", "q^2 above 2^53", "q below 2^53"))
+def test_exact_iterate_rows_are_the_vertices(capsys, monkeypatch, av, level, small):
+    # rows print k/3^i and the vertex in lowest terms; SVG points are their floats.  With
+    # q^i < 2^53 the numerators go to int64, and the CSV is made as bytes
+    a = Parameter.parse(av)
+    assert (a.value.denominator ** level < 2**53) == small
+    ys = construct_iteration(a, level).vertices
+    xs = [Fraction(k, 3**level) for k in range(len(ys))]
+    rows, make = [], okamoto.cli._ascii
+    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
+                        or make(pieces, cols))
+    code, out, _ = run(capsys, "iterate", "--a", av, "--level", str(level))
     assert code == 0
     assert out.splitlines()[2:] == [f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
                                     for x, y in zip(xs, ys)]
-    code, out, _ = run(capsys, "iterate", "--a", av, "--level", "5", "--format", "svg")
+    assert sum(rows) == (len(ys) if small else 0)
+    code, out, _ = run(capsys, "iterate", "--a", av, "--level", str(level), "--format", "svg")
     assert code == 0
     assert out.splitlines()[2:-2] == [f"{float(x):.8g},{1 - float(y):.8g}" for x, y in zip(xs, ys)]
+
+
+def test_exact_iterate_goldens_take_the_byte_path(capsys, monkeypatch):
+    rows, make = [], okamoto.cli._ascii
+    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
+                        or make(pieces, cols))
+    for command, digest in GOLDEN:
+        if command.startswith("iterate --a 3/5") and "svg" not in command:
+            code, out, _ = run(capsys, *command.split())
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+    assert sum(rows) == 3**4 + 1 + 3**9 + 1
 
 
 def test_chaos_csv_determinism(capsys):
@@ -640,6 +685,76 @@ def test_byte_path_prints_ranges_of_ints_at_every_width():
             *(range(10**k - 1, 10**k + 1) for k in range(1, 16))]
     for r in ints:
         assert okamoto.cli._ascii(["x=", "d;"], [r]) == printf_rows("x=%d;", [r])
+
+
+# Int values at the edges of 4-digit groups, where an int field's width changes
+_EDGES = (0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1, 10**12, 2**53 - 1)
+_FLOATS = st.one_of(_UNIT, st.floats(allow_subnormal=True),
+                    st.sampled_from((-2.2250738585072014e-308, -1.7976931348623157e308, 0.0, 1e-4,
+                                     0.99999999999999989, 1.0)))  # 24 characters, and edges
+
+
+def _dense_column(data, kind, n):
+    """A column of n values for a field of kind "f" (float64) or "d" (a range or int64)."""
+    import numpy as np
+
+    start = st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**53 - 1))
+    if kind == "f":
+        return np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n)), float)
+    if data.draw(st.booleans(), "a range"):
+        step = data.draw(st.integers(1, 3), "step")
+        first = min(data.draw(start, "first"), 2**53 - 1 - step * (n - 1))
+        return range(first, first + step * n, step)
+    near = st.builds(lambda e, k: min(max(e + k, 0), 2**53 - 1), st.sampled_from(_EDGES),
+                     st.integers(-2, 2))
+    return np.array(data.draw(st.lists(st.one_of(near, start), min_size=n, max_size=n)),
+                    np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dense_rows_print_as_printf_at_every_field_offset(data):
+    # literals of 0 to 7 bytes put each field at every offset mod 4
+    kinds = data.draw(st.lists(st.sampled_from("fd"), min_size=1, max_size=5), "kinds")
+    lits = [data.draw(st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                            blacklist_characters="%"), max_size=7), "literal")
+            for _ in range(len(kinds) + 1)]
+    row = lits[0] + "".join(("%.17g" if k == "f" else "%d") + t for k, t in zip(kinds, lits[1:]))
+    n = data.draw(st.integers(1, 20), "rows")
+    cols = [_dense_column(data, k, n) for k in kinds]
+    rows, make = [], okamoto.cli._ascii
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(okamoto.cli, "_SLICE", data.draw(st.integers(1, 8), "slice"))
+        mp.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
+                   or make(pieces, cols))
+        assert "\n".join(okamoto.cli._table((), row, [cols])) == printf_rows(row, cols)
+    assert sum(rows) == n  # every slice was made as bytes
+
+
+def test_int_fields_change_width_between_slices():
+    import numpy as np
+
+    # 9990..10009: slices of 7 rows need 1, then 2 groups of 4 digits
+    for steps in (range(9990, 10010), np.arange(9990, 10010), np.arange(10009, 9989, -1)):
+        cols = [np.linspace(0, 1, 20, endpoint=False), steps]
+        for size in (1, 7, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(okamoto.cli, "_SLICE", size)
+                assert ("\n".join(okamoto.cli._table((), "%.17g,%d", [cols]))
+                        == printf_rows("%.17g,%d", cols))
+    assert okamoto.cli._ascii(["", "d"], [range(9990, 10010)]) == printf_rows("%d", [range(9990, 10010)])
+    # int64 values outside [0, 2^53) go to printf, and so does a slice holding one
+    for ints in ([-1, 5], [2**53, 7], [2**62, 2**63 - 1], [-(2**63), 0]):
+        cols = [np.array([0.5, 0.25]), np.array(ints, np.int64)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(okamoto.cli, "_ascii", None)  # any call fails
+            assert ("\n".join(okamoto.cli._table((), "%.17g,%d", [cols]))
+                    == printf_rows("%.17g,%d", cols))
+    # a 24-character fallback between one-byte literals, then a 1-group int
+    xs = np.array([0.5, -2.2250738585072014e-308, 1e-300, 0.25])
+    cols = [xs, np.arange(4), xs[::-1].copy()]
+    assert (okamoto.cli._ascii(["", ".17g;", "d,", ".17g"], cols)
+            == printf_rows("%.17g;%d,%.17g", cols))
 
 
 _BITS = st.one_of(st.integers(0, 2**64 - 1),  # any float64, nan and inf too
