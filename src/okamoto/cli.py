@@ -95,6 +95,7 @@ def _ascii(pieces, cols):
     import numpy as np
 
     groups, tens, fives = _tables()
+    lo, hi = np.array([1e-4, 1.0]).view(np.uint64)  # [1e-4, 1) in a float's bits
     m, lits = len(cols[0]), [pieces[0], *(p[4 if p[0] == "." else 1:] for p in pieces[1:])]
     lits[-1] += "\n"
     cols = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in cols]
@@ -112,11 +113,13 @@ def _ascii(pieces, cols):
         if ints:
             np.copyto(Q, c, casting="unsafe")
         else:
-            np.greater_equal(c, 1e-4, out=b[0])
-            np.less(c, 1, out=b[1])
-            np.logical_and(b[0], b[1], out=b[0])
-            np.copyto(f[0], 0.3)  # a value in range where x is not
-            np.copyto(f[0], c, where=b[0])
+            # x is in [1e-4, 1) iff its bits less lo, mod 2^64, are below hi - lo: the bits
+            # order the floats from +0 up, and nan, inf and x < 0 lie above 1
+            np.subtract(c.view(np.uint64), lo, out=T)
+            full = np.less(T, hi - lo, out=b[0]).all()
+            np.copyto(f[0], c)
+            if not full:  # a value in range where x is not
+                np.copyto(f[0], 0.3, where=np.logical_not(b[0], out=b[1]))
             np.copyto(S, 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
             for t in (0.1, 0.01, 0.001):
                 np.add(S, np.less(f[0], t, out=b[1]), out=S)
@@ -139,9 +142,9 @@ def _ascii(pieces, cols):
             np.add(Q, T, out=Q)  # rounded half up
             np.subtract(64, R, out=R)
             np.left_shift(D, R, out=D)
-            np.equal(D, 0, out=b[1])  # a tie: rounded half down if that makes q even
-            np.bitwise_and(Q, 1, out=T)
-            np.subtract(Q, T, out=Q, where=b[1])
+            if np.equal(D, 0, out=b[1]).any():  # a tie: rounded half down if that makes q even
+                np.bitwise_and(Q, 1, out=T)
+                np.subtract(Q, T, out=Q, where=b[1])
         for j in range(4, first, -1):  # w[j - 1], w[j] = divmod(w[j], 10^4)
             np.floor_divide(w[j], 10**4, out=w[j - 1])
             np.multiply(w[j - 1], 10**4, out=T)
@@ -151,6 +154,8 @@ def _ascii(pieces, cols):
         for j in range(first, 5) if ints else range(4, 0, -1):
             np.add(w[j], T, out=w[j])
             np.copyto(T, 0, where=np.not_equal(w[j], T, out=b[1]))
+            if not T.any():  # every row is past its last (an int's first) non-zero group
+                break
         if ints:  # T is left 2 10^4 at the int 0 only: its group 4 goes to 3 10^4, "0"
             np.right_shift(T, 1, out=T)
             np.add(Q, T, out=Q)
@@ -161,7 +166,7 @@ def _ascii(pieces, cols):
         at, width = (o, 4 * (5 - first)) if ints else (o + 4, 20)
         np.copyto(text[:, at:at + width].view(np.uint32),
                   np.take(groups, g[first:5], out=d[first:]).T)
-        if not ints and not b[0].all():  # the values outside [1e-4, 1), padded with NUL
+        if not ints and not full:  # the values outside [1e-4, 1), padded with NUL
             rows = np.flatnonzero(np.logical_not(b[0], out=b[1]))
             text[rows, o:o + 24] = np.frombuffer(("%-24.17g" * len(rows) % tuple(
                 c[rows].tolist())).replace(" ", "\0").encode(), np.uint8).reshape(-1, 24)
