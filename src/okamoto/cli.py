@@ -56,7 +56,7 @@ def _tables():
     digit d; 10.0^s; 5^s."""
     import numpy as np
 
-    # the 4 digits of each k as a row of uint8: 3 10^4 strings took 1 MB of a process's peak
+    # the 4 digits of each k as a row of uint8: a string a group costs 1 MB of a process's peak
     k = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
     plain, seen = (k + 48).astype(np.uint8), k > 0
     first = b"".join(bytes(3 - z) + b"0" * z + bytes([48 + d]) for z in range(4) for d in range(10))
@@ -121,8 +121,8 @@ def _ascii(pieces, cols):
             if not full:  # a value in range where x is not
                 np.copyto(f[0], 0.3, where=np.logical_not(b[0], out=b[1]))
             np.copyto(S, 17)  # plus one for each of 0.1, 0.01 and 0.001 that x is below
-            for t in (0.1, 0.01, 0.001):
-                np.add(S, np.less(f[0], t, out=b[1]), out=S)
+            for p in (0.1, 0.01, 0.001):
+                np.add(S, np.less(f[0], p, out=b[1]), out=S)
             np.take(tens, g[5], out=f[1])
             np.multiply(f[1], f[0], out=f[1])
             np.copyto(Q, f[1], casting="unsafe")  # within 13 of x 10^s
@@ -192,7 +192,7 @@ def _table(head, row: str, parts, tail=()):
         if p.startswith(".17g"):
             return getattr(c, "dtype", None) == "float64"
         if isinstance(c, range):
-            return p[0] == "d" and 0 <= min(c[0], c[-1]) and max(c[0], c[-1]) < 2**53
+            return p[0] == "d" and 0 <= c[0] < 2**53 and 0 <= c[-1] < 2**53
         return (p[0] == "d" and getattr(c, "dtype", None) == "int64"
                 and 0 <= c.min() and c.max() < 2**53)
 

@@ -303,7 +303,7 @@ def test_size_limits_exit_with_one_line(capsys):
 
 def test_exact_derivative_refuses_a_slice_whose_text_is_over_budget(capsys, monkeypatch):
     # at 3/5, x = 0 and n = 3000 the trace is sized at 4.8 MB and its one slice at 7.5 MB
-    # of text (1.65 digits a row per m, as D_m = 9^m / 5^m)
+    # of text: D_m = 9^m / 5^m, so row m holds about 1.65 m digits
     argv = ["derivative", "--a", "3/5", "--x", "0", "--n", "3000"]
     monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 6 * 2**20)
     code, out, err = run(capsys, *argv)
@@ -434,6 +434,14 @@ def test_iterate_csv_and_svg(capsys, tmp_path):
     assert 'viewBox="0 0 1 1"' in body
 
 
+def _byte_rows(monkeypatch):
+    """The list of the row counts of the slices _table makes as bytes from now on."""
+    rows, make = [], okamoto.cli._ascii
+    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
+                        or make(pieces, cols))
+    return rows
+
+
 @pytest.mark.parametrize("av, level, small", [
     ("7/9", 5, True), (f"{10**30 - 1}/{10**30}", 5, False), ("3/5", 6, True),
     ("7/94906265", 2, True), ("7/94906267", 2, False), ("94906264/94906265", 1, True),
@@ -445,9 +453,7 @@ def test_exact_iterate_rows_are_the_vertices(capsys, monkeypatch, av, level, sma
     assert (a.value.denominator ** level < 2**53) == small
     ys = construct_iteration(a, level).vertices
     xs = [Fraction(k, 3**level) for k in range(len(ys))]
-    rows, make = [], okamoto.cli._ascii
-    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
-                        or make(pieces, cols))
+    rows = _byte_rows(monkeypatch)
     code, out, _ = run(capsys, "iterate", "--a", av, "--level", str(level))
     assert code == 0
     assert out.splitlines()[2:] == [f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
@@ -459,9 +465,7 @@ def test_exact_iterate_rows_are_the_vertices(capsys, monkeypatch, av, level, sma
 
 
 def test_exact_iterate_goldens_take_the_byte_path(capsys, monkeypatch):
-    rows, make = [], okamoto.cli._ascii
-    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
-                        or make(pieces, cols))
+    rows = _byte_rows(monkeypatch)
     for command, digest in GOLDEN:
         if command.startswith("iterate --a 3/5") and "svg" not in command:
             code, out, _ = run(capsys, *command.split())
@@ -722,11 +726,9 @@ def test_dense_rows_print_as_printf_at_every_field_offset(data):
     row = lits[0] + "".join(("%.17g" if k == "f" else "%d") + t for k, t in zip(kinds, lits[1:]))
     n = data.draw(st.integers(1, 20), "rows")
     cols = [_dense_column(data, k, n) for k in kinds]
-    rows, make = [], okamoto.cli._ascii
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(okamoto.cli, "_SLICE", data.draw(st.integers(1, 8), "slice"))
-        mp.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
-                   or make(pieces, cols))
+        rows = _byte_rows(mp)
         assert "\n".join(okamoto.cli._table((), row, [cols])) == printf_rows(row, cols)
     assert sum(rows) == n  # every slice was made as bytes
 
@@ -742,7 +744,8 @@ def test_int_fields_change_width_between_slices():
                 mp.setattr(okamoto.cli, "_SLICE", size)
                 assert ("\n".join(okamoto.cli._table((), "%.17g,%d", [cols]))
                         == printf_rows("%.17g,%d", cols))
-    assert okamoto.cli._ascii(["", "d"], [range(9990, 10010)]) == printf_rows("%d", [range(9990, 10010)])
+    steps = range(9990, 10010)
+    assert okamoto.cli._ascii(["", "d"], [steps]) == printf_rows("%d", [steps])
     # int64 values outside [0, 2^53) go to printf, and so does a slice holding one
     for ints in ([-1, 5], [2**53, 7], [2**62, 2**63 - 1], [-(2**63), 0]):
         cols = [np.array([0.5, 0.25]), np.array(ints, np.int64)]
