@@ -850,6 +850,11 @@ GOLDEN = [
     # the 17 digits are trailing zeros
     ("iterate --a 0.5 --level 9",
      "be3facd9bca3255401b09a827e6a0126090b6eb7d26d53e693d56e487bbc538a"),
+    # exact square counts where q^i < 2^53 but q^i 3^i > 2^63 (181^7), and of 3/5 to level 12
+    ("dim --a 1/181 --levels 1..7 --method square",
+     "4bfbec04347568511b6b006bb55fcfe59c08b8499d59a60de31a86b3515bdb4c"),
+    ("dim --a 3/5 --levels 1..12 --method square",
+     "7e4b856d7c569aef2cc262142a62c2c9a91594dfa7ac20995ef020a1c9d8e20d"),
 ]
 
 
