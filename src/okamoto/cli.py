@@ -11,7 +11,7 @@ Tables and polylines are formatted a slice at a time as they are written, each
 slice by one printf-style % on its rows' templates, or built as bytes by numpy
 where every field is %.17g on a float64 array or %d on a range or an int64
 array in [0, 2^53): the chaos CSV, and the iterate CSV of a float a and of an
-exact a = p/q with q^i < 2^53.
+exact a = p/q with q^i < 2^53, whose numerators _level_blocks makes int64.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
@@ -263,14 +263,11 @@ def cmd_iterate(args, a):
 
     den, blocks = _level_blocks(a, args.level)
     n = 3**args.level
-    small = a.mode == "exact" and den < 2**53  # 0 <= v <= den: int64 holds the numerators
 
     def columns(lo, v):  # x = k / n: the same bits as k / n in Python for n <= 2^53
         k = np.arange(lo, lo + len(v))
-        if small:  # v / den then rounds once too, and gcd and // give Python's ints
-            v = v.astype(np.int64)
-        if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does
-            return k / n, 1 - v / den
+        if args.format == "svg":  # Y / q^i rounds once, as float(Fraction(Y, q^i)) does: Python
+            return k / n, 1 - v / den  # ints divide so, and _level_blocks' int64 are exact floats
         if a.mode == "float":
             return k / n, v
         gx, gy = np.gcd(k, n), np.gcd(v, den)  # in lowest terms, as Fraction prints them

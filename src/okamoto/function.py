@@ -12,7 +12,7 @@ and the mode is decided in one place: `Parameter.frac` builds the constants
 and grid points of either mode, so every view has one code path for both.
 For a = p/q the digit series and construction run on integers over powers
 of q (q = 1 for a float a); construction refines numpy arrays of them, of
-Python ints or float64, and numpy is imported only there.
+Python ints, int64 or float64, and numpy is imported only there.
 """
 from __future__ import annotations
 
@@ -229,15 +229,17 @@ _BLOCK = (27, 6)
 def _level_blocks(a: Parameter, i: int):
     """(q^i, blocks): the numerators of f_i over q^i in x order, in blocks of _BLOCK.
 
-    A block (k, v) holds vertices k, k + 1, ... and starts at the previous
-    block's last one; a segment's children depend on its two end vertices
-    alone, so a run refined on its own gets the level's own bits.  Level i is
-    refused as construct_iteration refuses it, before any block is made."""
+    A block (k, v) holds vertices k, k + 1, ... and starts at the previous block's last
+    one; a segment's children depend on its two end vertices alone, so a run refined on
+    its own gets the level's own bits.  Level i is refused as construct_iteration refuses
+    it, before any block is made.  For a = p/q the numerators are int64 while q^i < 2^53,
+    else Python ints: every value _refined forms lies in [-q^i, q^i], an exact float64."""
     _check_level(a, i)
     run, depth = _BLOCK[0], min(_BLOCK[1], i)
-    coarse = _refined(level_zero(a).numerators, a, i - depth)
-    return a._series[0] ** i, ((s * 3**depth, _refined(coarse[s:s + run + 1], a, depth))
-                               for s in range(0, len(coarse) - 1, run))
+    den, v = a._series[0] ** i, level_zero(a).numerators
+    coarse = _refined(v.astype("int64") if a.mode == "exact" and den < 2**53 else v, a, i - depth)
+    return den, ((s * 3**depth, _refined(coarse[s:s + run + 1], a, depth))
+                 for s in range(0, len(coarse) - 1, run))
 
 
 def sample_graph(a: Parameter, i: int) -> list[tuple]:

@@ -134,7 +134,7 @@ def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, 
 
     F_a ranges over a level-i column exactly between its endpoint values, and
     floor is monotone, so column k covers |w[k+1] - w[k]| + 1 squares, w the
-    rows of f_i's vertices (_cells, in a's arithmetic).  Blocks of f_i share
+    rows of f_i's vertices (_cells on _level_blocks' numerators).  Blocks of f_i share
     their end vertices, and the top level goes first: an over-budget level is
     refused before any work."""
     import numpy as np
@@ -152,14 +152,15 @@ def square_grid_counts(a: Parameter, i_min: int, i_max: int) -> list[tuple[int, 
 def _cells(v, den, i: int):
     """Row floor(v 3^i / den) of each value v/den on the 3^-i grid, 1 in the top row.
 
-    Floor division of the numerators over q^n of a = p/q, np.floor of floats
-    (den = 1).  A value outside [0, 1], or a NaN, raises DomainError."""
+    Floor division of numerators over q^n, on Python ints where v 3^i could pass 2^63,
+    np.floor of floats (den = 1).  A value outside [0, 1], or a NaN, raises DomainError."""
     import numpy as np
 
     if not (v.min() >= 0 and v.max() <= den):
         raise DomainError("grid values must lie in [0, 1]")
+    v = v.astype(object) if v.dtype == np.int64 and den * 3**i >= 2**63 else v
     w = np.multiply(v, 3**i)
-    np.floor_divide(w, den, out=w) if w.dtype == object else np.floor(w, out=w)
+    np.floor(w, out=w) if w.dtype == float else np.floor_divide(w, den, out=w)
     return np.minimum(w, 3**i - 1, out=w)
 
 

@@ -23,7 +23,7 @@ from okamoto import (
 )
 from okamoto.differentiability import nondiff_points
 from okamoto.errors import CONSTRUCTION_BUDGET
-from okamoto.function import level_zero, series_digits, vertex_bytes
+from okamoto.function import _level_blocks, level_zero, series_digits, vertex_bytes
 from okamoto.ternary import TernaryExpansion
 
 from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
@@ -121,6 +121,26 @@ def test_construction_budget_estimate(a, top):
     assert (3**top + 1) * vertex_bytes(a, top) <= CONSTRUCTION_BUDGET
     assert (3 ** (top + 1) + 1) * vertex_bytes(a, top + 1) > CONSTRUCTION_BUDGET
 
+
+
+@pytest.mark.parametrize("av, level, dtype", [
+    (Fraction(3, 5), 13, np.int64),
+    (Fraction(7, 94906265), 2, np.int64),  # q^2 < 2^53
+    (Fraction(7, 94906267), 2, object),  # q^2 > 2^53
+    (Fraction(10**30 - 1, 10**30), 5, object),
+    (0.7, 13, np.float64),
+], ids=("3/5", "q^2<2^53", "q^2>2^53", "1-10^-30", "0.7"))
+def test_level_blocks_number_type(av, level, dtype):
+    # one rule for every block of a level: int64 numerators while q^i < 2^53, and
+    # those equal construction's Python ints
+    a = Parameter(av)
+    den, blocks = _level_blocks(a, level)
+    blocks = list(blocks)
+    assert {v.dtype for _, v in blocks} == {np.dtype(dtype)}
+    if level < 13:
+        whole = construct_iteration(a, level).numerators
+        # a later block starts at the previous block's last vertex
+        assert [y for k, v in blocks for y in v.tolist()[k > 0:]] == whole.tolist()
 
 def test_grid_persistence_under_refine():
     rng = random.Random(3)

@@ -227,7 +227,12 @@ def test_square_grid_counts_match_refined_reference(av):
 @pytest.mark.parametrize("a, i", [
     (Fraction(2, 3), 5), (Fraction(2, 3), 7), (Fraction(2, 3), 8), (Fraction(5, 9), 8),
     (Fraction(7, 9), 7),
-], ids=("2/3-5", "2/3-7", "2/3-8", "5/9-8", "7/9-7"))
+    # q^i < 2^53, so int64 numerators, but v 3^i can pass 2^63
+    (Fraction(1, 181), 7), (Fraction(180, 181), 7), (Fraction(1, 97), 8),
+    # q^2 just below and just above 2^53
+    (Fraction(7, 94906265), 2), (Fraction(7, 94906267), 2),
+], ids=("2/3-5", "2/3-7", "2/3-8", "5/9-8", "7/9-7", "1/181-7", "180/181-7", "1/97-8",
+        "7/94906265-2", "7/94906267-2"))
 def test_square_grid_counts_exact_match_fraction_reference(a, i):
     # an exact a is counted on its integer numerators, not on a float copy of a
     # (which gave 80 233 squares at 2/3, level 7)
@@ -235,6 +240,18 @@ def test_square_grid_counts_exact_match_fraction_reference(a, i):
     assert got == square_grid_reference_exact(a, 1, i)
     if (a, i) == (Fraction(2, 3), 7):
         assert got[-1] == (7, 80311)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(Fraction(1, 200), Fraction(199, 200), max_denominator=200),
+       st.integers(1, 6))
+@example(Fraction(1, 171), 7)
+@example(Fraction(189, 190), 7)
+@example(Fraction(97, 98), 8)
+def test_square_grid_counts_exact_match_fraction_reference_at_random_a(a, i):
+    # the examples lie where q^i < 2^53 <= 2^63 <= (3q)^i: int64 numerators whose
+    # rows _cells must floor on Python ints
+    assert square_grid_counts(Parameter(a), 1, i) == square_grid_reference_exact(a, 1, i)
 
 
 @settings(max_examples=40, deadline=None)
