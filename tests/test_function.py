@@ -122,7 +122,6 @@ def test_construction_budget_estimate(a, top):
     assert (3 ** (top + 1) + 1) * vertex_bytes(a, top + 1) > CONSTRUCTION_BUDGET
 
 
-
 @pytest.mark.parametrize("av, level, dtype", [
     (Fraction(3, 5), 13, np.int64),
     (Fraction(7, 94906265), 2, np.int64),  # q^2 < 2^53
@@ -134,13 +133,13 @@ def test_level_blocks_number_type(av, level, dtype):
     # one rule for every block of a level: int64 numerators while q^i < 2^53, and
     # those equal construction's Python ints
     a = Parameter(av)
-    den, blocks = _level_blocks(a, level)
-    blocks = list(blocks)
+    blocks = list(_level_blocks(a, level)[1])
     assert {v.dtype for _, v in blocks} == {np.dtype(dtype)}
     if level < 13:
         whole = construct_iteration(a, level).numerators
         # a later block starts at the previous block's last vertex
         assert [y for k, v in blocks for y in v.tolist()[k > 0:]] == whole.tolist()
+
 
 def test_grid_persistence_under_refine():
     rng = random.Random(3)

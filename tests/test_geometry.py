@@ -249,8 +249,8 @@ def test_square_grid_counts_exact_match_fraction_reference(a, i):
 @example(Fraction(189, 190), 7)
 @example(Fraction(97, 98), 8)
 def test_square_grid_counts_exact_match_fraction_reference_at_random_a(a, i):
-    # the examples lie where q^i < 2^53 <= 2^63 <= (3q)^i: int64 numerators whose
-    # rows _cells must floor on Python ints
+    # the examples have q^i < 2^53 <= 2^63 <= (3q)^i: int64 numerators whose rows
+    # _cells must floor on Python ints
     assert square_grid_counts(Parameter(a), 1, i) == square_grid_reference_exact(a, 1, i)
 
 
