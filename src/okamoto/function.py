@@ -11,8 +11,8 @@ Everything runs in one of two arithmetic modes, exact rationals or floats,
 and the mode is decided in one place: `Parameter.frac` builds the constants
 and grid points of either mode, so every view has one code path for both.
 For a = p/q the digit series and construction run on integers over powers
-of q (q = 1 for a float a); construction refines numpy arrays of them, of
-Python ints, int64 or float64, and numpy is imported only there.
+of q (q = 1 for a float a); construction refines numpy arrays of them, typed
+by one rule (_typed), and numpy is imported only there.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import DomainError, PrecisionError, ResourceError, check_budget
 from .ternary import TernaryExpansion
@@ -94,7 +94,7 @@ class IterationGraph:
     """Level-i approximant: f_i(k / 3**i) = numerators[k] / denominator, 3**i + 1 vertices."""
 
     level: int
-    numerators: "numpy.ndarray"  # Python ints (object dtype) for a = p/q, float64 for a float
+    numerators: Any  # numpy.ndarray of int64 or Python ints for a = p/q, float64: see _typed
     a: Parameter
 
     def __post_init__(self):
@@ -140,11 +140,15 @@ class EvalResult:
     digits_used: int
 
 
-def level_zero(a: Parameter) -> IterationGraph:
-    """f_0 is the identity: numerators [0, 1] over q^0 = 1."""
+def _typed(v, a: Parameter, i: int):
+    """v as level i's numerators: float64 for a float a; for a = p/q int64 while
+    q^i < 2^53, where every value _refined forms lies in [-q^i, q^i] and is an exact
+    float64, else Python ints.  The one number rule of construction; v is copied
+    only where its type changes."""
     import numpy as np
 
-    return IterationGraph(0, np.array([0, 1], dtype=float if a.mode == "float" else object), a)
+    exact = "int64" if a._series[0] ** i < 2**53 else object
+    return np.asarray(v).astype(float if a.mode == "float" else exact, copy=False)
 
 
 def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
@@ -154,15 +158,14 @@ def refine(g: IterationGraph, a: Parameter) -> IterationGraph:
     existing grid values are preserved exactly.  On numerators over q^i with
     offsets O = (0, p, q-p), vertex j of a segment is q*vL + O[j]*(vR-vL); a
     float a runs the same code with q = 1 and O = (0, a, 1-a), so no product
-    by q rounds.
-    """
+    by q rounds.  g's numerators are first cast to level i+1's type (_typed)."""
     if a != g.a:
         raise DomainError("refine called with a different parameter than the graph's")
-    return IterationGraph(g.level + 1, _refined(g.numerators, a, 1), a)
+    return IterationGraph(g.level + 1, _refined(_typed(g.numerators, a, g.level + 1), a, 1), a)
 
 
 def _refined(v, a: Parameter, times: int):
-    """The numerators v refined `times` times: the one body of refine and _level_blocks."""
+    """The numerators v refined `times` times: the one body of construction."""
     import numpy as np
 
     q, (_, p, r), *_ = a._series
@@ -183,13 +186,13 @@ def _refined(v, a: Parameter, times: int):
 def vertex_bytes(a: Parameter, i: int) -> int:
     """Upper estimate of the memory one level-i vertex takes during construction.
 
-    11 for float64: refine's output array and the previous level's, a third
-    its size, peak at 10.7 B per vertex (tracemalloc, levels 12-14).  For
-    a = p/q a level-i numerator has at most i*bit_length(q) bits.  Building
-    it and reading .vertices once, a Fraction over q^i each, peaks (x86-64,
-    CPython 3.11, tracemalloc) at 168-169 B per vertex at q = 5 (levels
-    10-12), 205-207 B at q = 10^4 (levels 10-11) and 3.0-3.4 KB at q = 10^300
-    (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 28-39 %.
+    11 for float64: _refined's output array and its input, a third its size,
+    peak at 10.7 B per vertex (tracemalloc, levels 12-14), as do the int64 of
+    a = p/q while q^i < 2^53.  A level-i numerator has at most i*bit_length(q)
+    bits; building it and reading .vertices once, a Fraction over q^i each, peaks
+    (x86-64, CPython 3.11, tracemalloc) at 168-169 B per vertex at q = 5 (levels
+    9-13), 204-206 B at q = 10^4 (levels 10-11) and 3.0-3.4 KB at q = 10^300
+    (levels 8-9); 200 + i*bit_length(q)/2 covers each, by 26-39 %.
     _level_blocks refuses the same levels, though it holds f_(i-6) and a block.
     """
     if a.mode == "float":
@@ -208,15 +211,12 @@ def _check_level(a: Parameter, i: int) -> None:
 
 
 def construct_iteration(a: Parameter, i: int) -> IterationGraph:
-    """i-fold refinement of the identity graph.
+    """i-fold refinement of the identity graph f_0, numerators [0, 1] over q^0 = 1.
 
     Refuses a level whose 3^i + 1 vertices, at vertex_bytes(a, i) each, exceed
     CONSTRUCTION_BUDGET: float levels above 16, and above 13 for a = 3/5."""
     _check_level(a, i)
-    g = level_zero(a)
-    for _ in range(i):
-        g = refine(g, a)
-    return g
+    return IterationGraph(i, _refined(_typed([0, 1], a, i), a, i), a)
 
 
 #: A block of f_i is 27 segments of f_(i-6) refined 6 times: 19 684 vertices,
@@ -232,12 +232,11 @@ def _level_blocks(a: Parameter, i: int):
     A block (k, v) holds vertices k, k + 1, ... and starts at the previous block's last
     one; a segment's children depend on its two end vertices alone, so a run refined on
     its own gets the level's own bits.  Level i is refused as construct_iteration refuses
-    it, before any block is made.  For a = p/q the numerators are int64 while q^i < 2^53,
-    else Python ints: every value _refined forms lies in [-q^i, q^i], an exact float64."""
+    it, before any block is made.  The coarse level f_(i-6), and so every block, has
+    level i's type (_typed), as construct_iteration(a, i).numerators has."""
     _check_level(a, i)
     run, depth = _BLOCK[0], min(_BLOCK[1], i)
-    den, v = a._series[0] ** i, level_zero(a).numerators
-    coarse = _refined(v.astype("int64") if a.mode == "exact" and den < 2**53 else v, a, i - depth)
+    den, coarse = a._series[0] ** i, _refined(_typed([0, 1], a, i), a, i - depth)
     return den, ((s * 3**depth, _refined(coarse[s:s + run + 1], a, depth))
                  for s in range(0, len(coarse) - 1, run))
 

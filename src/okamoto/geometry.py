@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import DomainError, ResourceError, UnsupportedRegionError, check_budget
 from .function import Parameter, _level_blocks, ifs_maps
@@ -63,7 +64,7 @@ class MassSample:
     """Chaos-game points on the graph, distributed per the natural measure (chaos_weights(a))."""
 
     a: Parameter
-    points: np.ndarray  # shape (n, 2)
+    points: Any  # numpy.ndarray, shape (n, 2)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class MassBoundReport:
 
     grid_level: int
     bound: float
-    ratios: np.ndarray  # shape (3^i, 3^i): mu(cell) / bound
+    ratios: Any  # numpy.ndarray, shape (3^i, 3^i): mu(cell) / bound
     flagged: tuple[tuple[int, int], ...]
     max_ratio: float
 

@@ -219,10 +219,10 @@ def vertex_geometry(a: float, i_max: int):
     column-cover box count TV_i * 3^i.  This is the vertex-based geometry the
     closed forms replaced."""
     # imported here: the benchmark's checker loads this module without okamoto
-    from okamoto.function import Parameter, level_zero, refine
+    from okamoto.function import Parameter, construct_iteration, refine
 
     pa = Parameter(a)
-    g = level_zero(pa)
+    g = construct_iteration(pa, 0)
     out = []
     for i in range(i_max + 1):
         if i:

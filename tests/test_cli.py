@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import typing
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -260,6 +261,15 @@ assert {"geometry", "chaos_game", "square_grid_counts", "MassSample"} <= set(oka
 """
     proc = run_process("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_classes_have_resolvable_type_hints():
+    # annotations name no module the package does not import at its top level
+    classes = [getattr(okamoto, n) for n in okamoto.__all__
+               if isinstance(getattr(okamoto, n), type)]
+    assert {okamoto.IterationGraph, okamoto.MassSample, okamoto.MassBoundReport} <= set(classes)
+    for cls in classes:
+        typing.get_type_hints(cls)
 
 
 @pytest.mark.parametrize("av", ("3/5", "0.6"), ids=("exact", "float"))

@@ -23,7 +23,7 @@ from okamoto import (
 )
 from okamoto.differentiability import nondiff_points
 from okamoto.errors import CONSTRUCTION_BUDGET
-from okamoto.function import _level_blocks, level_zero, series_digits, vertex_bytes
+from okamoto.function import _level_blocks, series_digits, vertex_bytes
 from okamoto.ternary import TernaryExpansion
 
 from oracles import cantor_value, okamoto_recursive, refine_reference, series_reference
@@ -47,7 +47,7 @@ def test_parameter_parse_modes():
 
 def test_refine_level_zero():
     a = exact(2, 5)
-    g = refine(level_zero(a), a)
+    g = refine(construct_iteration(a, 0), a)
     assert g.vertices == [0, Fraction(2, 5), Fraction(3, 5), 1]
 
 
@@ -77,7 +77,7 @@ def test_arithmetic_mode_of_results(exact_mode):
             assert isinstance(v, list) and all(type(y) is Fraction for y in v)
         else:
             assert isinstance(v, np.ndarray) and v.dtype == np.float64
-    assert type(level_zero(a).vertices) is type(construct_iteration(a, 2).vertices)
+    assert type(construct_iteration(a, 0).vertices) is type(construct_iteration(a, 2).vertices)
     values = [c for point in sample_graph(a, 2) for c in point]
     values += [getattr(w, f) for w in ifs_maps(a)
                for f in ("x_scale", "x_offset", "y_scale", "y_offset")]
@@ -130,13 +130,14 @@ def test_construction_budget_estimate(a, top):
     (0.7, 13, np.float64),
 ], ids=("3/5", "q^2<2^53", "q^2>2^53", "1-10^-30", "0.7"))
 def test_level_blocks_number_type(av, level, dtype):
-    # one rule for every block of a level: int64 numerators while q^i < 2^53, and
-    # those equal construction's Python ints
+    # one rule for every block of a level and for construction: int64 numerators
+    # while q^i < 2^53, and the blocks equal construction's numerators
     a = Parameter(av)
     blocks = list(_level_blocks(a, level)[1])
     assert {v.dtype for _, v in blocks} == {np.dtype(dtype)}
+    whole = construct_iteration(a, level).numerators
+    assert whole.dtype == dtype
     if level < 13:
-        whole = construct_iteration(a, level).numerators
         # a later block starts at the previous block's last vertex
         assert [y for k, v in blocks for y in v.tolist()[k > 0:]] == whole.tolist()
 
@@ -365,20 +366,26 @@ def test_float_certificate_bounds_the_error_at_the_float_a(av, x, tol):
 @example(a=Fraction(1, 10**300), exact_mode=False)  # the float a = 1e-300
 @example(a=Fraction(1, 10**300), exact_mode=True)
 @example(a=Fraction(10**30 - 1, 10**30), exact_mode=True)
+@example(a=Fraction(7, 94906267), exact_mode=True)  # q^2 > 2^53 and q^3 > 2^63
 def test_refine_matches_segment_loop(a, exact_mode):
-    # exact levels 0..6 equal as Fractions, float levels 0..10 equal bit for bit
+    # exact levels 0..6 equal as Fractions, float levels 0..10 equal bit for bit, and
+    # construct_iteration(a, level) equals the refine chain, in the same number type
     a = Parameter(a if exact_mode else float(a))
-    g = level_zero(a)
+    g = construct_iteration(a, 0)
     ref = list(g.vertices)
     for level in range(7 if exact_mode else 11):
         if level:
             g = refine(g, a)
             ref = refine_reference(ref, a.value)
+        whole = construct_iteration(a, level)
+        assert whole.numerators.dtype == g.numerators.dtype
         if exact_mode:
             assert isinstance(g.vertices, list) and g.vertices == ref
+            assert whole.vertices == g.vertices
         else:
             assert g.vertices.dtype == np.float64
             assert g.vertices.tobytes() == np.array(ref).tobytes()
+            assert whole.vertices.tobytes() == g.vertices.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
