@@ -25,16 +25,10 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .differentiability import (
-    derivative_trace,
-    digit_frequency_experiment,
-    find_a0,
-    region_classify,
-)
 from .errors import DomainError, OkamotoError, PrecisionError, check_budget
-from .function import Parameter, _level_blocks, eval_digit_series, parse_real, series_digits
-from .geometry import arc_length_profile, chaos_game, cover_profile, dimension_estimate
-from .ternary import TernaryExpansion, to_ternary
+
+# Each command imports the library modules it calls, so that --version and --help load
+# none, and the annotations name Parameter and TernaryExpansion without importing them.
 
 # Rows formatted at a time.  16384 formats about 20 % faster, but its larger pieces
 # add 2.6 MB to the peak of chaos and iterate, which glibc's heap keeps.
@@ -214,6 +208,9 @@ def _table(head, row: str, parts, tail=()):
 
 def _parse_x(text: str, a: Parameter, digits: int) -> TernaryExpansion:
     """x as a decimal in [0,1] or an exact fraction p/q, in a's mode unless p/q."""
+    from .function import parse_real
+    from .ternary import to_ternary
+
     return to_ternary(parse_real(text, a.mode == "exact", "x"), digits)
 
 
@@ -247,6 +244,8 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def cmd_eval(args, a) -> list[str]:
+    from .function import eval_digit_series, series_digits
+
     x = _parse_x(args.x, a, series_digits(a, args.tol))
     res = eval_digit_series(a, x, args.tol)
     return [
@@ -260,6 +259,8 @@ def cmd_eval(args, a) -> list[str]:
 
 def cmd_iterate(args, a):
     import numpy as np
+
+    from .function import _level_blocks
 
     den, blocks = _level_blocks(a, args.level)
     n = 3**args.level
@@ -285,6 +286,8 @@ def cmd_iterate(args, a):
 
 
 def cmd_dim(args, a):
+    from .geometry import cover_profile, dimension_estimate
+
     lo, hi = _parse_levels(args.levels)
     est = dimension_estimate(a, lo, hi, method=args.method)
     prof = cover_profile(a, hi)
@@ -298,6 +301,8 @@ def cmd_dim(args, a):
 
 
 def cmd_arclength(args, a):
+    from .geometry import arc_length_profile
+
     lo, hi = _parse_levels(args.levels)
     prof = arc_length_profile(a, hi)
     cols = (prof.levels, prof.euclidean, prof.manhattan, prof.total_variation)
@@ -306,6 +311,8 @@ def cmd_arclength(args, a):
 
 
 def cmd_derivative(args, a):
+    from .differentiability import derivative_trace
+
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
     v = tr.values  # exact D_m as two columns, p and q
@@ -323,6 +330,8 @@ def cmd_derivative(args, a):
 
 
 def cmd_classify(args, a) -> list[str]:
+    from .differentiability import region_classify
+
     rc = region_classify(a)
     return [
         _header(a),
@@ -334,6 +343,8 @@ def cmd_classify(args, a) -> list[str]:
 
 
 def cmd_a0(args, a) -> list[str]:
+    from .differentiability import find_a0
+
     a0 = find_a0(args.tol)
     residual = 54 * a0**3 - 27 * a0**2 - 1
     return [
@@ -345,6 +356,8 @@ def cmd_a0(args, a) -> list[str]:
 
 
 def cmd_chaos(args, a):
+    from .geometry import chaos_game
+
     x, y = chaos_game(a, args.n, burn_in=args.burn_in, seed=args.seed).points.T
     if args.format == "svg":  # 1 - y a slice at a time
         return _svg((x[s:s + _SLICE], 1 - y[s:s + _SLICE]) for s in range(0, args.n, _SLICE))
@@ -353,6 +366,8 @@ def cmd_chaos(args, a):
 
 
 def cmd_experiment(args, a) -> list[str]:
+    from .differentiability import digit_frequency_experiment
+
     summary = digit_frequency_experiment(args.samples, args.digits, args.seed)
     return [
         f"# seed={args.seed} version={__version__}",
@@ -439,6 +454,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        from .function import Parameter
+
         a = Parameter.parse(args.a, exact=args.exact) if "a" in args else None
         _write(args.out, args.fn(args, a))
         return 0

@@ -270,6 +270,8 @@ def random_digit_stream(seed: int, index: int, n: int) -> TernaryExpansion:
 
     A digit takes 16 bytes at the peak (16.0 B measured at n = 1e6 and 1e7):
     the drawn int64 array, then the list and the tuple of the digits."""
+    if seed < 0 or index < 0:
+        raise DomainError("seed must be >= 0" if seed < 0 else "index must be >= 0")
     check_budget(16 * n, f"a stream of {n} digits", "16 bytes per digit")
     return TernaryExpansion(tuple(_stream_digits(seed, index, n).tolist()))
 
@@ -283,6 +285,8 @@ def digit_frequency_experiment(samples: int, n: int, seed: int) -> FrequencySumm
     """
     if samples < 1 or n < 1:
         raise DomainError("samples and n must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     check_budget(25 * samples + 10 * n, f"an experiment of {samples} samples of {n} digits",
                  "25 bytes per sample and 10 per digit")
     import numpy as np

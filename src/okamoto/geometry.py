@@ -233,8 +233,8 @@ def chaos_game(a: Parameter, n: int, burn_in: int = 30, seed: int = 0) -> MassSa
     two float64, burn-in included (17.4 B measured at n = 2e6)."""
     if n < 1:
         raise DomainError("need n >= 1 points")
-    if burn_in < 0:
-        raise DomainError("burn_in must be >= 0")
+    if burn_in < 0 or seed < 0:
+        raise DomainError("burn_in must be >= 0" if burn_in < 0 else "seed must be >= 0")
     check_budget(18 * (burn_in + n), f"a chaos game of {burn_in} + {n} steps", "18 bytes each")
     w = chaos_weights(a)
     maps = tuple((m.x_scale, m.x_offset, m.y_scale, m.y_offset)

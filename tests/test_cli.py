@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 import typing
 import weakref
 from decimal import Decimal
@@ -263,6 +265,55 @@ assert {"geometry", "chaos_game", "square_grid_counts", "MassSample"} <= set(oka
     assert proc.returncode == 0, proc.stderr
 
 
+# The public names as the package listed them when it imported every module eagerly.
+_PUBLIC = [
+    "AffineMap2D", "CoverProfile", "DerivativeTrace", "DigitStats", "DimensionEstimate",
+    "DomainError", "EvalResult", "FrequencySummary", "IterationGraph", "LengthProfile",
+    "LimitClass", "MassBoundReport", "MassSample", "OkamotoError", "Parameter",
+    "PrecisionError", "RegionClass", "RegionLabel", "ResourceError", "TernaryExpansion",
+    "UnsupportedRegionError", "arc_length_profile", "chaos_game", "chaos_weights",
+    "classify_limit", "construct_iteration", "cover_profile", "critical_a0", "derivative_trace",
+    "differentiability", "digit_frequency_experiment", "digit_stats", "dimension_estimate",
+    "errors", "eval_digit_series", "find_a0", "function", "geometry", "ifs_maps",
+    "mass_bound_check", "nondiff_points", "refine", "region_classify", "sample_graph",
+    "square_grid_counts", "ternary", "ternary_rational", "to_ternary",
+]
+_LIBRARY = ("okamoto.ternary", "okamoto.function", "okamoto.geometry", "okamoto.differentiability")
+
+
+def test_package_surface():
+    assert okamoto.__all__ == _PUBLIC
+    assert set(_PUBLIC) <= set(dir(okamoto))
+    with pytest.raises(AttributeError, match="'okamoto' has no attribute 'no_such_name'"):
+        okamoto.no_such_name
+    for name in _PUBLIC:  # each name is the object its defining module holds
+        obj = getattr(okamoto, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is importlib.import_module(f"okamoto.{name}")
+        else:
+            assert obj.__module__.startswith("okamoto.")
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+    proc = run_process("-c", f"import sys, okamoto; print(sorted(set({_LIBRARY}) & set(sys.modules)))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["--version"], (*_LIBRARY, "fractions", "dataclasses", "numpy")),
+    (["eval", "--a", "3/5", "--x", "1/7"], ("okamoto.geometry", "okamoto.differentiability")),
+    (["classify", "--a", "0.7"], ("okamoto.geometry",)),
+], ids=("--version", "eval", "classify"))
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    script = f"""
+import contextlib, io, sys
+import okamoto.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert okamoto.cli.main({argv!r}) == 0
+print(sorted(set({unloaded!r}) & set(sys.modules)))
+"""
+    proc = run_process("-c", script)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr + proc.stdout
+
+
 def test_public_classes_have_resolvable_type_hints():
     # annotations name no module the package does not import at its top level
     classes = [getattr(okamoto, n) for n in okamoto.__all__
@@ -499,6 +550,13 @@ def test_chaos_csv_determinism(capsys):
 
 def test_chaos_rejects_low_a(capsys):
     assert run(capsys, "chaos", "--a", "0.4", "--n", "10")[0] == 1
+
+
+@pytest.mark.parametrize("argv", ("chaos --a 2/3 --n 5 --seed -1", "experiment --seed -5"))
+def test_negative_seed_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("okamoto: error: ") and err.count("\n") == 1 and "seed" in err
 
 
 def test_experiment_report(capsys):
