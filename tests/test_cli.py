@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import okamoto
+import okamoto._ascii
 import okamoto.cli
 from okamoto import Parameter, construct_iteration
 from okamoto.cli import main
@@ -115,6 +116,10 @@ def test_eval_expands_the_digits_its_tol_needs(capsys, av, x):
     (["iterate", "--a", "0.4", "--level", "1000000000"], 1),
     (["arclength", "--a", "0.6", "--out", "/nonexistent/dir/f.csv"], 1),
     (["arclength", "--a", "0.6", "--out", "."], 1),  # the working directory
+    (["dim", "--a", "0.9", "--levels", "1..x"], 1),
+    (["arclength", "--a", "0.6", "--levels", "x..3"], 1),
+    (["arclength", "--a", "0.6", "--levels", "1..1e3"], 1),
+    (["arclength", "--a", "0.6", "--levels", "1.."], 1),
 ])
 def test_eval_bad_input_exits_with_one_line(argv, code, tmp_path):
     proc = run_process("-m", "okamoto.cli", *argv, cwd=tmp_path)
@@ -123,6 +128,13 @@ def test_eval_bad_input_exits_with_one_line(argv, code, tmp_path):
     assert proc.stderr.startswith("okamoto: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
     assert not any(tmp_path.iterdir()) and not os.path.exists("/nonexistent/dir/f.csv")
+
+
+@pytest.mark.parametrize("levels", ("1..x", "x..3", "1..1e3", "1..", "3", "1..2..3"))
+def test_a_level_range_that_is_not_two_ints_is_named(capsys, levels):
+    code, out, err = run(capsys, "dim", "--a", "0.9", "--levels", levels)
+    assert (code, out) == (1, "")
+    assert err == f"okamoto: error: level range {levels!r} must look like 'lo..hi'\n"
 
 
 @pytest.mark.parametrize("argv, read_first", [
@@ -297,21 +309,31 @@ def test_package_surface():
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (["--version"], (*_LIBRARY, "fractions", "dataclasses", "numpy")),
-    (["eval", "--a", "3/5", "--x", "1/7"], ("okamoto.geometry", "okamoto.differentiability")),
-    (["classify", "--a", "0.7"], ("okamoto.geometry",)),
-], ids=("--version", "eval", "classify"))
-def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+_BYTES = "okamoto._ascii"  # loaded by the first table slice made as bytes, with numpy
+
+
+@pytest.mark.parametrize("argv, unloaded, loaded", [
+    (["--version"], (*_LIBRARY, "fractions", "dataclasses", "numpy", _BYTES), ()),
+    (["eval", "--a", "3/5", "--x", "1/7"], ("okamoto.geometry", "okamoto.differentiability",
+                                            _BYTES), ()),
+    (["classify", "--a", "0.7"], ("okamoto.geometry", _BYTES), ()),
+    (["dim", "--a", "2/3", "--levels", "1..10"], ("numpy", _BYTES), ()),
+    (["arclength", "--a", "0.35", "--levels", "0..12"], ("numpy", _BYTES), ()),
+    (["derivative", "--a", "0.4", "--x", "0.3", "--n", "50"], ("numpy", _BYTES), ()),
+    (["chaos", "--a", "2/3", "--n", "5000"], (), (_BYTES,)),
+    (["iterate", "--a", "0.7", "--level", "6"], (), (_BYTES,)),
+], ids=("--version", "eval", "classify", "dim", "arclength", "derivative", "chaos", "iterate"))
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded, loaded):
     script = f"""
 import contextlib, io, sys
 import okamoto.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert okamoto.cli.main({argv!r}) == 0
-print(sorted(set({unloaded!r}) & set(sys.modules)))
+print(sorted(set({unloaded!r}) & set(sys.modules)),
+      sorted(set({loaded!r}) - set(sys.modules)))
 """
     proc = run_process("-c", script)
-    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr + proc.stdout
+    assert proc.returncode == 0 and proc.stdout == "[] []\n", proc.stderr + proc.stdout
 
 
 def test_public_classes_have_resolvable_type_hints():
@@ -497,8 +519,8 @@ def test_iterate_csv_and_svg(capsys, tmp_path):
 
 def _byte_rows(monkeypatch):
     """The list of the row counts of the slices _table makes as bytes from now on."""
-    rows, make = [], okamoto.cli._ascii
-    monkeypatch.setattr(okamoto.cli, "_ascii", lambda pieces, cols: rows.append(len(cols[0]))
+    rows, make = [], okamoto._ascii.rows
+    monkeypatch.setattr(okamoto._ascii, "rows", lambda pieces, cols: rows.append(len(cols[0]))
                         or make(pieces, cols))
     return rows
 
@@ -693,7 +715,7 @@ def _printed(xs):
     """xs as the byte path of _table prints them under %.17g, one a line."""
     import numpy as np
 
-    return okamoto.cli._ascii(["", ".17g"], [np.array(xs, float)]).split("\n")
+    return okamoto._ascii.rows(["", ".17g"], [np.array(xs, float)]).split("\n")
 
 
 @settings(max_examples=300, deadline=None)
@@ -726,7 +748,7 @@ def test_byte_path_at_powers_of_ten_ties_and_grid_points():
 
 
 def test_digit_tables_hold_each_group_plain_and_stripped():
-    groups = okamoto.cli._tables()[0]
+    groups = okamoto._ascii._GROUPS
 
     def text(i):  # the 4 bytes at index i, with their NULs dropped
         return groups[i:i + 1].tobytes().replace(b"\0", b"").decode("ascii")
@@ -748,7 +770,8 @@ def test_byte_path_leaves_other_values_to_17g():
     assert _printed(xs) == ["%.17g" % x for x in xs]
     # between other fields, where a fallback's 24 bytes must not spill into them
     steps = range(2**53 - len(xs), 2**53)
-    assert (okamoto.cli._ascii(["", ".17g,", ".17g;", "d"], [np.array(xs), np.array(xs[::-1]), steps])
+    assert (okamoto._ascii.rows(["", ".17g,", ".17g;", "d"],
+                                [np.array(xs), np.array(xs[::-1]), steps])
             == printf_rows("%.17g,%.17g;%d", [xs, xs[::-1], steps]))
 
 
@@ -756,7 +779,7 @@ def test_byte_path_prints_ranges_of_ints_at_every_width():
     ints = [range(0, 12), range(2**53 - 3, 2**53), range(7, 100, 9),
             *(range(10**k - 1, 10**k + 1) for k in range(1, 16))]
     for r in ints:
-        assert okamoto.cli._ascii(["x=", "d;"], [r]) == printf_rows("x=%d;", [r])
+        assert okamoto._ascii.rows(["x=", "d;"], [r]) == printf_rows("x=%d;", [r])
 
 
 # Int values at the edges of 4-digit groups, where an int field's width changes
@@ -813,18 +836,18 @@ def test_int_fields_change_width_between_slices():
                 assert ("\n".join(okamoto.cli._table((), "%.17g,%d", [cols]))
                         == printf_rows("%.17g,%d", cols))
     steps = range(9990, 10010)
-    assert okamoto.cli._ascii(["", "d"], [steps]) == printf_rows("%d", [steps])
+    assert okamoto._ascii.rows(["", "d"], [steps]) == printf_rows("%d", [steps])
     # int64 values outside [0, 2^53) go to printf, and so does a slice holding one
     for ints in ([-1, 5], [2**53, 7], [2**62, 2**63 - 1], [-(2**63), 0]):
         cols = [np.array([0.5, 0.25]), np.array(ints, np.int64)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(okamoto.cli, "_ascii", None)  # any call fails
+            mp.setattr(okamoto._ascii, "rows", None)  # any call fails
             assert ("\n".join(okamoto.cli._table((), "%.17g,%d", [cols]))
                     == printf_rows("%.17g,%d", cols))
     # a 24-character fallback between one-byte literals, then a 1-group int
     xs = np.array([0.5, -2.2250738585072014e-308, 1e-300, 0.25])
     cols = [xs, np.arange(4), xs[::-1].copy()]
-    assert (okamoto.cli._ascii(["", ".17g;", "d,", ".17g"], cols)
+    assert (okamoto._ascii.rows(["", ".17g;", "d,", ".17g"], cols)
             == printf_rows("%.17g;%d,%.17g", cols))
 
 

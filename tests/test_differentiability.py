@@ -5,24 +5,31 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okamoto import (
+    DigitStats,
     DomainError,
+    IterationGraph,
     LimitClass,
+    MassSample,
     Parameter,
     PrecisionError,
     RegionLabel,
     ResourceError,
     UnsupportedRegionError,
     classify_limit,
+    construct_iteration,
     critical_a0,
     derivative_trace,
     digit_frequency_experiment,
     find_a0,
+    mass_bound_check,
     nondiff_points,
+    refine,
     region_classify,
     to_ternary,
 )
@@ -420,3 +427,26 @@ def test_size_checks_refuse_before_allocating():
     with pytest.raises(ResourceError):
         random_digit_stream(0, 0, 10**12)
     assert time.perf_counter() - start < 1
+
+
+_A = Parameter(Fraction(3, 5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nondiff_points(Parameter(0.2), -1), "level must be >= 0"),
+    (lambda: random_digit_stream(-1, 0, 5), "seed must be >= 0"),
+    (lambda: random_digit_stream(0, -1, 5), "index must be >= 0"),
+    (lambda: IterationGraph(1, [0, 1], _A), "level 1 graph needs 4 vertices, got 2"),
+    (lambda: refine(construct_iteration(_A, 1), Parameter(0.6)), "a different parameter"),
+    (lambda: construct_iteration(_A, -1), "level must be >= 0"),
+    (lambda: mass_bound_check(MassSample(Parameter(0.8), np.empty((0, 2))), 3), "sample is empty"),
+    (lambda: TernaryExpansion((0,), source=(5, 1)), "source (5, 1) is not a point of [0,1]"),
+    (lambda: DigitStats(n=2, ones_count=3, ratio=Fraction(3, 2), gamma_estimate=Fraction(0)),
+     "ones_count out of range"),
+], ids=("nondiff_points level", "stream seed", "stream index", "graph vertices",
+        "refine parameter", "construct level", "empty mass sample", "expansion source",
+        "digit stats ones"))
+def test_library_refusals_name_their_cause(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert type(exc.value) is DomainError and message in str(exc.value)
