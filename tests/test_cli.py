@@ -946,6 +946,14 @@ GOLDEN = [
      "4bfbec04347568511b6b006bb55fcfe59c08b8499d59a60de31a86b3515bdb4c"),
     ("dim --a 3/5 --levels 1..12 --method square",
      "7e4b856d7c569aef2cc262142a62c2c9a91594dfa7ac20995ef020a1c9d8e20d"),
+    # exact traces recorded from the Fraction-a-digit loop: q = 12 shares 2 and 3 with
+    # the factors, 1/2 prints 0/1 from its first 1-digit on, and 3/5 passes the float range
+    ("derivative --a 5/12 --x 1/7 --n 40",
+     "a0b6660c5ab262e936287c2fb731650697048fd2ff26d75c7da784c780b92115"),
+    ("derivative --a 1/2 --x 1/7 --n 40",
+     "13ebfbf24aff61c4b681c07fe43fb845e08becabaa42b323b1b153e96cf88b7a"),
+    ("derivative --a 3/5 --x 0 --n 1300",
+     "f26bc605414b92eee5b7d3a960d5df3e3ec22d52f27ab5f56e8d617f3fe4e0ac"),
 ]
 
 
