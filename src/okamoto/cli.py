@@ -184,18 +184,17 @@ def cmd_arclength(args, a):
 
 
 def cmd_derivative(args, a):
-    from .differentiability import derivative_trace
+    from .differentiability import derivative_trace, lowest_terms
 
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
-    v = tr.values  # exact D_m as two columns, p and q
+    row, cols = "%d,%d,%.17g", (tr.values,)
     if a.mode == "exact":  # a slice's text is made whole: log10(2) digits a bit, 32 for the rest
-        size = [(d.numerator.bit_length() + d.denominator.bit_length()) * 0.30103 + 32 for d in v]
+        row, cols = "%d,%d,%d/%d", lowest_terms(tr)  # D_m in lowest terms, p and q
+        size = [(p.bit_length() + q.bit_length()) * 0.30103 + 32 for p, q in zip(*cols)]
         need = int(max(sum(size[s:s + _SLICE]) for s in range(0, args.n, _SLICE)))
         check_budget(need, f"the text of {min(args.n, _SLICE)} trace rows",
                      f"about {need >> 20} MiB, as D_m prints in full")
-    row, cols = (("%d,%d,%d/%d", ([d.numerator for d in v], [d.denominator for d in v]))
-                 if a.mode == "exact" else ("%d,%d,%.17g", (v,)))
     return _table((_header(a), "m,digit,D_m"), row, [(range(1, args.n + 1), x.digits, *cols)],
                   (f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
                    f"gamma_estimate={tr.stats.gamma_estimate} "

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 
 from .errors import DomainError, PrecisionError, UnsupportedRegionError, check_budget
 from .function import Parameter
@@ -41,9 +43,10 @@ class RegionLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class DerivativeTrace:
-    """Slope products D_1..D_n along a digit stream, with digit statistics."""
+    """Slope products D_m = values[m-1] / base^m along a digit stream, with digit statistics."""
 
     values: tuple
+    base: int
     stats: DigitStats
     diverged: bool
     max_abs: float
@@ -73,61 +76,66 @@ class FrequencySummary:
 
 
 def derivative_trace(a: Parameter, x: TernaryExpansion, n: int) -> DerivativeTrace:
-    """D_m built by the recursion D_m = D_{m-1} * (3-6a if d_m == 1 else 3a).
+    """D_m = D_(m-1) * s(d_m) over x's digits, with slopes s(1) = 3-6a and s(0) = s(2) = 3a.
 
-    A value beyond the float range raises the diverged flag, in both modes
-    (float overflow saturates to signed infinity), and max_abs is taken over
-    the other values; divergence is a reportable outcome, not an error.
+    For a = p/q and g = gcd(3, q) the slopes are the integers 3*M[d]/g (Parameter._series)
+    over b = q/g, and values holds the N_m of D_m = N_m / b^m; a float a keeps its float
+    slopes, over b = 1.  A value beyond the float range raises the diverged flag (float
+    overflow saturates to signed infinity), and max_abs is taken over the other values;
+    divergence is a reportable outcome, not an error.
 
-    A float value takes 48 bytes at the peak (47.7 B measured at n = 2e6).
-    For a = p/q, D_m is an integer over q^m, about 100 + m*k/7 bytes with
-    k = bit_length(q) + bit_length(3q), so the trace grows quadratically in n;
-    that overshoots peak RSS by 74 % at q = 5, n = 3000, by 20-24 % at
-    q = 10^4, n = 3000-6000 and by 10 % at q = 10^30, n = 2000 (x86-64,
-    CPython 3.11).
+    A float value takes 48 bytes at the peak (44.6 B measured at n = 2e6).  N_m has at
+    most m*k bits, k the bit length of the largest slope: 64 + (n+1)*k/14 bytes a value
+    overshoots the tracemalloc peak by 31-34 % at q = 5, n = 3000-10000, 11-12 % at
+    q = 10^4 and 7 % at q = 10^30, n = 2000-6000 (x86-64, CPython 3.11).
     """
-    if n < 1:
-        raise DomainError("trace length must be >= 1")
-    if n > len(x.digits):
-        raise DomainError(f"trace length {n} exceeds {len(x.digits)} available digits")
-    av = a.value
+    stats = digit_stats(x, n)  # refuses an n outside 1..len(x.digits)
     if a.mode == "float":
-        each = 48
+        b, slopes, each = 1, (3 * a.value, 3 - 6 * a.value, 3 * a.value), 48
     else:
-        q = av.denominator
-        each = 100 + (n + 1) * (q.bit_length() + (3 * q).bit_length()) // 14  # mean over m
+        q, _, mults, *_ = a._series
+        b, slopes = q // math.gcd(3, q), tuple(3 // math.gcd(3, q) * m for m in mults)
+        each = 64 + (n + 1) * max(map(abs, slopes)).bit_length() // 14  # mean over m
     check_budget(n * each, f"a trace of {n} values", f"about {each} bytes each")
-    m_one = 3 - 6 * av
-    m_other = 3 * av
-    d = a.frac(1, 1)
-    size = abs if a.mode == "float" else _float_abs
-    values = []
-    max_abs = 0.0
-    diverged = False
-    fmax = sys.float_info.max
-    # max_abs never exceeds fmax, so a value beyond fmax is always beyond
-    # max_abs first; a NaN (inf * 0 after an overflow) passes neither test.
+    d, values = 1, []  # 1 * a float slope is that slope, bit for bit
     for dig in x.digits[:n]:
-        d = d * (m_one if dig == 1 else m_other)
+        d *= slopes[dig]
         values.append(d)
-        ad = size(d)
-        if ad > max_abs:
-            if ad > fmax:
-                diverged = True
-            else:
-                max_abs = ad
-    return DerivativeTrace(values=tuple(values), stats=digit_stats(x, n),
-                           diverged=diverged, max_abs=max_abs)
+    # a NaN (inf * 0 after an overflow) follows an inf, so it is no max, and passes no test
+    if a.mode == "float":
+        sizes, max_abs = map(abs, values), max(abs(min(values)), abs(max(values)))
+    else:  # |N_m| / b^m, with the powers of b made one at a time
+        sizes = list(map(_float_abs, values, accumulate(repeat(b, n), operator.mul)))
+        max_abs = max(sizes)
+    diverged = max_abs > sys.float_info.max
+    if diverged:
+        max_abs = max((s for s in sizes if s <= sys.float_info.max), default=0.0)
+    return DerivativeTrace(values=tuple(values), base=b, stats=stats, diverged=diverged,
+                           max_abs=max_abs)
 
 
-def _float_abs(d: Fraction) -> float:
-    """|d| correctly rounded, inf past the float range: rounding is monotone, so the
-    largest is the float of the largest |d|, and only the largest float needs an exact test."""
+def _float_abs(num: int, den: int) -> float:
+    """|num|/den correctly rounded, inf past the float range: rounding is monotone, so the
+    largest is the float of the largest |num|/den, and only the largest float needs an exact test."""
     try:
-        f = float(abs(d))  # int / int, which raises past the range
+        f = abs(num / den)  # int / int, which raises past the range
     except OverflowError:
         return math.inf
-    return math.inf if f == sys.float_info.max and abs(d) > f else f
+    return math.inf if f == sys.float_info.max and abs(num) > int(f) * den else f
+
+
+def lowest_terms(tr: DerivativeTrace) -> tuple[list, list]:
+    """The numerators and denominators of an exact trace's D_m = N_m / b^m in lowest terms.
+
+    A slope (3/g)*p or (3/g)*(q-2p) shares no odd prime with b = q/g, as gcd(p, q) = 1, so
+    one shift by the 2s N_m and b^m share reduces a row (0/1 at a = 1/2, where b = 2)."""
+    b = tr.base
+    e = (b & -b).bit_length() - 1  # b = 2^e * odd, and dens starts as the odd^m
+    nums, dens = list(tr.values), list(accumulate(repeat(b >> e, len(tr.values)), operator.mul))
+    for m, v in enumerate(nums if e else (), start=1):
+        s = min((v & -v).bit_length() - 1, e * m) if v else e * m  # the 2s they share
+        nums[m - 1], dens[m - 1] = v >> s, dens[m - 1] << e * m - s
+    return nums, dens
 
 
 def generic_rate(a: Parameter, gamma: float) -> float:
@@ -295,12 +303,5 @@ def digit_frequency_experiment(samples: int, n: int, seed: int) -> FrequencySumm
     for idx in range(samples):
         ratios[idx] = np.count_nonzero(_stream_digits(seed, idx, n) == 1) / n
     within = float(np.mean(np.abs(ratios - 1 / 3) <= 0.02))
-    return FrequencySummary(
-        samples=samples,
-        n=n,
-        seed=seed,
-        mean=float(ratios.mean()),
-        min=float(ratios.min()),
-        max=float(ratios.max()),
-        fraction_within=within,
-    )
+    return FrequencySummary(samples, n, seed, float(ratios.mean()), float(ratios.min()),
+                            float(ratios.max()), within)

@@ -320,9 +320,11 @@ _BYTES = "okamoto._ascii"  # loaded by the first table slice made as bytes, with
     (["dim", "--a", "2/3", "--levels", "1..10"], ("numpy", _BYTES), ()),
     (["arclength", "--a", "0.35", "--levels", "0..12"], ("numpy", _BYTES), ()),
     (["derivative", "--a", "0.4", "--x", "0.3", "--n", "50"], ("numpy", _BYTES), ()),
+    (["derivative", "--a", "5/12", "--x", "1/7", "--n", "30"], ("numpy", _BYTES), ()),
     (["chaos", "--a", "2/3", "--n", "5000"], (), (_BYTES,)),
     (["iterate", "--a", "0.7", "--level", "6"], (), (_BYTES,)),
-], ids=("--version", "eval", "classify", "dim", "arclength", "derivative", "chaos", "iterate"))
+], ids=("--version", "eval", "classify", "dim", "arclength", "derivative", "derivative-exact",
+        "chaos", "iterate"))
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded, loaded):
     script = f"""
 import contextlib, io, sys
@@ -372,7 +374,7 @@ def test_size_limits_exit_with_one_line(capsys):
     for argv in (["eval", "--a", "1e-10", "--x", "0.3"],  # about 2.5e11 digits for 1e-12
                  ["eval", "--a", "0.999999999999", "--x", "0.5"],  # about 5.6e13
                  ["derivative", "--a", "0.4", "--x", "0.3", "--n", "1000000000000"],
-                 ["derivative", "--a", "3/5", "--x", "0", "--n", "100000"],  # about 5 GB exact
+                 ["derivative", "--a", "3/5", "--x", "0", "--n", "100000"],  # about 2.9 GB exact
                  ["chaos", "--a", "0.7", "--n", "1000000000000"],
                  ["experiment", "--samples", "1000000000000"],
                  ["experiment", "--digits", "1000000000000"]):
@@ -385,7 +387,7 @@ def test_size_limits_exit_with_one_line(capsys):
 
 
 def test_exact_derivative_refuses_a_slice_whose_text_is_over_budget(capsys, monkeypatch):
-    # at 3/5, x = 0 and n = 3000 the trace is sized at 4.8 MB and its one slice at 7.5 MB
+    # at 3/5, x = 0 and n = 3000 the trace is sized at 2.8 MB and its one slice at 7.5 MB
     # of text: D_m = 9^m / 5^m, so row m holds about 1.65 m digits
     argv = ["derivative", "--a", "3/5", "--x", "0", "--n", "3000"]
     monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 6 * 2**20)

@@ -33,7 +33,7 @@ from okamoto import (
     region_classify,
     to_ternary,
 )
-from okamoto.differentiability import _float_abs, generic_rate, random_digit_stream
+from okamoto.differentiability import _float_abs, generic_rate, lowest_terms, random_digit_stream
 from okamoto.ternary import TernaryExpansion
 from oracles import derivative_trace_reference
 
@@ -78,11 +78,25 @@ def test_trace_overflow_saturates_with_flag():
     assert math.isinf(tr.values[-1])
 
 
+def _slope_products(tr):
+    """D_1..D_n of a trace: its floats, or its integers N_m as Fractions N_m / base^m."""
+    if tr.values and type(tr.values[0]) is float:
+        return tr.values
+    assert all(type(v) is int for v in tr.values)
+    return [Fraction(v, tr.base**m) for m, v in enumerate(tr.values, start=1)]
+
+
 def _assert_trace_matches_reference(av, digits, n):
     tr = derivative_trace(Parameter(av), TernaryExpansion(tuple(digits)), n)
     values, diverged, max_abs = derivative_trace_reference(av, digits, n)
-    # repr tells NaN, the signed zeros and Fraction from float apart, bit for bit
-    assert list(map(repr, tr.values)) == list(map(repr, values))
+    # repr tells NaN and the signed zeros apart, bit for bit; a Fraction, whose repr
+    # can pass the int string limit, is held by its type and value
+    def key(v):
+        return (Fraction, v) if type(v) is Fraction else repr(v)
+
+    assert list(map(key, _slope_products(tr))) == list(map(key, values))
+    if type(av) is Fraction:  # the rows `derivative` prints
+        assert lowest_terms(tr) == ([v.numerator for v in values], [v.denominator for v in values])
     assert (tr.diverged, repr(tr.max_abs)) == (diverged, repr(max_abs))
     return tr
 
@@ -118,13 +132,28 @@ def test_trace_matches_reference_loop(exact, p, q, block, reps, data):
     _assert_trace_matches_reference(av, digits, data.draw(st.integers(1, len(digits))))
 
 
+@pytest.mark.parametrize("av", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 6),
+                                Fraction(5, 12), Fraction(1.1125369292536007e-308)])
+def test_exact_trace_matches_reference_where_q_shares_a_factor_with_the_slopes(av):
+    # q even or a multiple of 3: the slopes' 3 and 2s meet q's; 1/2 has the slope 0,
+    # 1/3 and 2/3 the base 1, and 2^-1023 a 1024-bit base
+    rng = random.Random(7)
+    digits = [rng.randrange(3) for _ in range(300)]
+    _assert_trace_matches_reference(av, digits, 300)
+
+
 def test_exact_trace_sizes_values_that_round_to_the_largest_float():
-    fmax = Fraction(sys.float_info.max)
-    half_ulp = Fraction(2) ** 970  # fmax + half_ulp is a tie, rounded to even: 2^1024
-    assert _float_abs(fmax) == _float_abs(-fmax) == sys.float_info.max
-    assert _float_abs(fmax + half_ulp / 2) == math.inf  # rounds to fmax, lies above it
-    assert _float_abs(-fmax - half_ulp) == math.inf  # int / int overflows
-    assert _float_abs(fmax - half_ulp / 2) == sys.float_info.max
+    fmax = int(sys.float_info.max)
+    half_ulp = 2**970  # fmax + half_ulp is a tie, rounded to even: 2^1024
+    den = 5**40  # as D_m = N_m / b^m, over a base that is not a power of 2
+
+    def size(v):
+        return _float_abs(v * den, den)
+
+    assert size(fmax) == size(-fmax) == sys.float_info.max
+    assert size(fmax + half_ulp // 2) == math.inf  # rounds to fmax, lies above it
+    assert size(-fmax - half_ulp) == math.inf  # int / int overflows
+    assert size(fmax - half_ulp // 2) == sys.float_info.max
 
 
 def test_trace_domain_errors():
@@ -276,7 +305,8 @@ def test_family_points_have_diverging_slope_products(av):
         assert den == (2 if half_grid else 1) * 3**i
         for k in nums:
             n = i + 60
-            d = (1, *derivative_trace(a, to_ternary(Fraction(k, den), n), n).values)
+            tr = derivative_trace(a, to_ternary(Fraction(k, den), n), n)
+            d = (1, *_slope_products(tr))
             assert all(d[m] / d[m - 1] == rho for m in range(i + 1, n + 1)), (i, k)
 
 
@@ -406,8 +436,9 @@ def test_float_labels_against_mpmath_a0():
 def test_trace_divergence_in_both_modes(av):
     # D_m = (9/5)^m passes the float range at m = 1208
     tr = derivative_trace(Parameter(av), TernaryExpansion((0,) * 1300), 1300)
+    d = _slope_products(tr)
     assert tr.diverged
-    assert abs(tr.values[1206]) <= sys.float_info.max < abs(tr.values[1207])
+    assert abs(d[1206]) <= sys.float_info.max < abs(d[1207])
     assert tr.max_abs == pytest.approx(1.8**1207, rel=1e-12)
 
 
@@ -417,7 +448,7 @@ def test_size_checks_refuse_before_allocating():
         digit_frequency_experiment(10**12, 10, 0)
     with pytest.raises(ResourceError):
         digit_frequency_experiment(10, 10**12, 0)
-    # an exact trace grows quadratically: 10^5 values at q = 5 need about 5 GB
+    # an exact trace grows quadratically: 10^5 numerators at q = 5 need about 2.9 GB
     with pytest.raises(ResourceError):
         derivative_trace(Parameter(Fraction(3, 5)), TernaryExpansion((0,) * 10**5), 10**5)
     # 3^30 points are a range over one denominator, returned at once
