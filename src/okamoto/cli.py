@@ -9,15 +9,17 @@ A command computes its result (iterate: checks its level, then refines a block
 at a time) before its lines are streamed, so a failing command writes nothing.
 Tables and polylines are formatted a slice at a time as they are written, each
 slice by one printf-style % on its rows' templates, or built as bytes by _ascii
-where every field is %.17g on a float64 array or %d on a range or an int64
-array in [0, 2^53): the chaos CSV, and the iterate CSV of a float a and of an
-exact a = p/q with q^i < 2^53, whose numerators _level_blocks makes int64.
+where every field is %.17g or %.8g on a float64 array or %d on a range or an
+int64 array in [0, 2^53): the chaos CSV and SVG, and the iterate CSV and SVG of
+a float a and of an exact a = p/q with q^i < 2^53, whose numerators
+_level_blocks makes int64.
 
 Exit codes: 0 success, 1 usage/domain/output error, 2 numerical/precision failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -46,15 +48,15 @@ def _table(head, row: str, parts, tail=()):
 
     A part is a list of equally long columns, the next rows.  Rows go _SLICE at a
     time within a part, yielded as one piece of newline-joined lines, so no text
-    exists whole.  A slice whose fields are all %.17g on float64 arrays or %d on
-    ranges or int64 arrays in [0, 2^53) is made as bytes by _ascii.rows, which the
+    exists whole.  A slice whose fields are all %.17g or %.8g on float64 arrays or %d
+    on ranges or int64 arrays in [0, 2^53) is made as bytes by _ascii.rows, which the
     first such slice imports with numpy; any other fills its rows' templates in one
     % from a flat tuple of its values (numpy's via .tolist())."""
     yield from head
     pieces = row.split("%")
 
     def fits(p, c):  # whether _ascii.rows can make field p of the column c
-        if p.startswith(".17g"):
+        if p.startswith((".17g", ".8g")):
             return getattr(c, "dtype", None) == "float64"
         if isinstance(c, range):
             return p[0] == "d" and 0 <= c[0] < 2**53 and 0 <= c[-1] < 2**53
@@ -252,6 +254,7 @@ def cmd_experiment(args, a) -> list[str]:
     ]
 
 
+@functools.cache  # built once a process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="okamoto", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)

@@ -151,11 +151,13 @@ def digit_stats(e: TernaryExpansion, n: int) -> DigitStats:
         raise DomainError(f"prefix length {n} exceeds expansion length {len(e.digits)}")
     lo = math.ceil(n / 2)
     ones = e.digits[:lo].count(1)
-    # ones(m), m of the least ratio so far, compared by cross-multiplying
+    # ones(m), m of the least ratio so far, compared by cross-multiplying; a 1-digit never
+    # lowers the ratio, as (o + 1)/m >= o/(m - 1) for o <= m - 1
     best_ones, best_m = ones, lo
     for m, d in enumerate(e.digits[lo:n], start=lo + 1):
-        ones += d == 1
-        if ones * best_m < best_ones * m:
+        if d == 1:
+            ones += 1
+        elif ones * best_m < best_ones * m:
             best_ones, best_m = ones, m
     return DigitStats(n=n, ones_count=ones, ratio=Fraction(ones, n),
                       gamma_estimate=Fraction(best_ones, best_m))

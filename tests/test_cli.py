@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
 import math
 import os
 import re
@@ -323,8 +324,10 @@ _BYTES = "okamoto._ascii"  # loaded by the first table slice made as bytes, with
     (["derivative", "--a", "5/12", "--x", "1/7", "--n", "30"], ("numpy", _BYTES), ()),
     (["chaos", "--a", "2/3", "--n", "5000"], (), (_BYTES,)),
     (["iterate", "--a", "0.7", "--level", "6"], (), (_BYTES,)),
+    (["chaos", "--a", "2/3", "--n", "5000", "--format", "svg"], (), (_BYTES,)),
+    (["iterate", "--a", "0.7", "--level", "6", "--format", "svg"], (), (_BYTES,)),
 ], ids=("--version", "eval", "classify", "dim", "arclength", "derivative", "derivative-exact",
-        "chaos", "iterate"))
+        "chaos", "iterate", "chaos-svg", "iterate-svg"))
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded, loaded):
     script = f"""
 import contextlib, io, sys
@@ -533,7 +536,7 @@ def _byte_rows(monkeypatch):
 ], ids=("7/9", "1-10^-30", "3/5", "q^2 below 2^53", "q^2 above 2^53", "q below 2^53"))
 def test_exact_iterate_rows_are_the_vertices(capsys, monkeypatch, av, level, small):
     # rows print k/3^i and the vertex in lowest terms; SVG points are their floats.  With
-    # q^i < 2^53 the numerators go to int64, and the CSV is made as bytes
+    # q^i < 2^53 the numerators go to int64, and the CSV and SVG are made as bytes
     a = Parameter.parse(av)
     assert (a.value.denominator ** level < 2**53) == small
     ys = construct_iteration(a, level).vertices
@@ -547,6 +550,7 @@ def test_exact_iterate_rows_are_the_vertices(capsys, monkeypatch, av, level, sma
     code, out, _ = run(capsys, "iterate", "--a", av, "--level", str(level), "--format", "svg")
     assert code == 0
     assert out.splitlines()[2:-2] == [f"{float(x):.8g},{1 - float(y):.8g}" for x, y in zip(xs, ys)]
+    assert sum(rows) == (2 * len(ys) if small else 0)
 
 
 def test_exact_iterate_goldens_take_the_byte_path(capsys, monkeypatch):
@@ -606,6 +610,32 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "0.1.0"
+
+
+def test_one_process_prints_what_fresh_processes_print():
+    # main reuses one parser a process: a usage error, --version and two commands in a row
+    # print, each, what a process that runs only that argv prints
+    argvs = [["iterate", "--a", "0.7"], ["--version"],
+             ["eval", "--a", "3/5", "--x", "1/7", "--exact"],
+             ["chaos", "--a", "2/3", "--n", "20", "--seed", "1", "--format", "svg"]]
+    script = f"""
+import contextlib, io, json, okamoto.cli
+seen = []
+for argv in {argvs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        seen.append([okamoto.cli.main(argv), out.getvalue(), err.getvalue()])
+assert okamoto.cli.build_parser() is okamoto.cli.build_parser()
+print(json.dumps(seen))
+"""
+    proc = run_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    fresh = [run_process("-c", "import sys, okamoto.cli; sys.exit(okamoto.cli.main(sys.argv[1:]))",
+                         *argv) for argv in argvs]
+    assert seen == [[p.returncode, p.stdout, p.stderr] for p in fresh]
+    assert [code for code, _, _ in seen] == [1, 0, 0, 0]
+    assert "usage: okamoto iterate" in seen[0][2] and seen[1][1] == okamoto.__version__ + "\n"
 
 
 # Every output `_table` formats, at a size that leaves a short last slice for
@@ -713,17 +743,63 @@ def test_printf_integer_fields_get_ints(capsys, monkeypatch):
     assert seen == {row for row, _, _ in _TEMPLATES}
 
 
-def _printed(xs):
-    """xs as the byte path of _table prints them under %.17g, one a line."""
+def _printed(xs, spec=".17g"):
+    """xs as the byte path of _table prints them under %<spec>, %.17g by default, one a line."""
     import numpy as np
 
-    return okamoto._ascii.rows(["", ".17g"], [np.array(xs, float)]).split("\n")
+    return okamoto._ascii.rows(["", spec], [np.array(xs, float)]).split("\n")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_UNIT, min_size=1, max_size=40))
 def test_byte_path_gives_the_17_digits_in_the_unit_range(xs):
     assert _printed(xs) == ["%.17g" % x for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_UNIT, min_size=1, max_size=40))
+def test_byte_path_gives_the_8_digits_in_the_unit_range(xs):
+    assert _printed(xs, ".8g") == ["%.8g" % x for x in xs]
+
+
+def test_byte_path_carries_8_digits_to_powers_of_ten():
+    import numpy as np
+
+    # 8 digits of 0.99999999995 round to 1, and of 0.099999999995 to 0.1: 100 ulps each
+    # side of 10^-k (1 - 5 10^-9), where rounding starts to carry, and the neighbours
+    # of each such literal
+    def around(x, ulps):
+        return (np.array(x).view(np.int64) + np.arange(-ulps, ulps + 1)).view(float).tolist()
+
+    carried = ("1", "0.1", "0.01", "0.001")
+    edges = [x for k in range(4) for x in around(10.0**-k * (1 - 5e-9), 100)]
+    literals = [x for k in range(4) for x in around(float(f"0.{'0' * k}99999999995"), 3)]
+    assert {"%.8g" % x for x in literals} == set(carried)
+    outputs = {"%.8g" % x for x in edges}
+    assert set(carried) | {"0.99999999", "0.099999999", "0.0099999999",
+                           "0.00099999999"} == outputs  # both sides of each carry
+    xs = edges + literals
+    assert _printed(xs, ".8g") == ["%.8g" % x for x in xs]
+
+
+def test_byte_path_rounds_8_digit_ties_half_to_even():
+    # 2^-12 and 3 2^-12 have 9 significant digits, the last a 5: the 8th goes to even
+    xs = [2.0**-12, 3 * 2.0**-12]
+    assert [Decimal(x) for x in xs] == [Decimal("0.000244140625"), Decimal("0.000732421875")]
+    assert _printed(xs, ".8g") == ["0.00024414062", "0.00073242188"] == ["%.8g" % x for x in xs]
+
+
+def test_byte_path_leaves_other_values_to_8g():
+    import numpy as np
+
+    xs = [0.0, 1.0, -0.0, -0.5, -1e-4, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+          -2.2250738585072014e-308, 5e-324, 1e-5, 0.5, 0.99999999995, 1e300, 12345.678]
+    assert _printed(xs, ".8g") == ["%.8g" % x for x in xs]
+    # between other fields, where a fallback's 16 bytes must not spill into them
+    steps = range(2**53 - len(xs), 2**53)
+    assert (okamoto._ascii.rows(["", ".8g,", ".8g;", "d", ".17g"],
+                                [np.array(xs), np.array(xs[::-1]), steps, np.array(xs)])
+            == printf_rows("%.8g,%.8g;%d%.17g", [xs, xs[::-1], steps, xs]))
 
 
 def test_byte_path_at_powers_of_ten_ties_and_grid_points():
@@ -858,19 +934,21 @@ _BITS = st.one_of(st.integers(0, 2**64 - 1),  # any float64, nan and inf too
                             st.integers(0, 2**52 - 1)))  # in [2^-14, 1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_float64_bit_patterns_print_as_the_per_row_loop_does(data):
     import numpy as np
 
     n = data.draw(st.integers(1, 30), "rows")
-    row = data.draw(st.sampled_from(["%.17g,%.17g", "%.17g,%.17g,%d"]), "row")
+    row = data.draw(st.sampled_from(["%.17g,%.17g", "%.17g,%.17g,%d", "%.8g,%.8g"]), "row")
     cols = [np.array(data.draw(st.lists(_BITS, min_size=n, max_size=n)), np.uint64).view(float)
             for _ in range(2)]
     cols += [range(data.draw(st.integers(0, 2**53 - n)), 2**53)[:n]] * row.endswith("d")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(okamoto.cli, "_SLICE", data.draw(st.integers(1, 8), "slice"))
+        rows = _byte_rows(mp)
         assert "\n".join(okamoto.cli._table((), row, [cols])) == printf_rows(row, cols)
+    assert sum(rows) == n  # every slice was made as bytes
 
 
 # SHA-256 of the stdout of each command.  CLI output stays byte-identical

@@ -135,6 +135,18 @@ def test_digit_stats_gamma_matches_fraction_minimum(digits, data):
     assert s.gamma_estimate == min(Fraction(ones[m], m) for m in range(math.ceil(n / 2), n + 1))
 
 
+@pytest.mark.parametrize("digits, gamma", [
+    ((0,) * 50, lambda n: 0), ((1,) * 50, lambda n: 1),
+    ((1, 0) * 25, lambda n: Fraction(1, 2) if n > 1 else 1),  # ones(m)/m is 1/2 at even m
+], ids=("zeros", "ones", "one-zero"))
+def test_digit_stats_gamma_on_constant_and_alternating_streams(digits, gamma):
+    # every prefix, where a run of 1-digits leaves the least ratio where it was
+    e = TernaryExpansion(digits)
+    for n in range(1, len(digits) + 1):
+        s = digit_stats(e, n)
+        assert s.ones_count == digits[:n].count(1) and s.gamma_estimate == gamma(n)
+
+
 def test_digit_stats_rejects_bad_prefix():
     e = TernaryExpansion((0, 1))
     for n in (0, -1, -25, 3):
