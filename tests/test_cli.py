@@ -1034,6 +1034,10 @@ GOLDEN = [
      "13ebfbf24aff61c4b681c07fe43fb845e08becabaa42b323b1b153e96cf88b7a"),
     ("derivative --a 3/5 --x 0 --n 1300",
      "f26bc605414b92eee5b7d3a960d5df3e3ec22d52f27ab5f56e8d617f3fe4e0ac"),
+    # 21.8 MB of exact rows at a = 2^-1023, over the base 2^1023, recorded from the
+    # printf rows of whole integer columns
+    ("derivative --exact --a 1.1125369292536007e-308 --x 0.4401471129325648 --n 318",
+     "4978453ba410c253e68834753bb0b6f58395158f054509a069dc6664bb194e6a"),
 ]
 
 
