@@ -26,7 +26,7 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .errors import DomainError, OkamotoError, PrecisionError, check_budget
+from .errors import DomainError, OkamotoError, PrecisionError
 
 # Each command imports the library modules it calls, so that --version and --help load
 # none, and the annotations name Parameter and TernaryExpansion without importing them.
@@ -190,14 +190,11 @@ def cmd_derivative(args, a):
 
     x = _parse_x(args.x, a, args.n)
     tr = derivative_trace(a, x, args.n)
-    row, cols = "%d,%d,%.17g", (tr.values,)
-    if a.mode == "exact":  # a slice's text is made whole: log10(2) digits a bit, 32 for the rest
-        row, cols = "%d,%d,%d/%d", lowest_terms(tr)  # D_m in lowest terms, p and q
-        size = [(p.bit_length() + q.bit_length()) * 0.30103 + 32 for p, q in zip(*cols)]
-        need = int(max(sum(size[s:s + _SLICE]) for s in range(0, args.n, _SLICE)))
-        check_budget(need, f"the text of {min(args.n, _SLICE)} trace rows",
-                     f"about {need >> 20} MiB, as D_m prints in full")
-    return _table((_header(a), "m,digit,D_m"), row, [(range(1, args.n + 1), x.digits, *cols)],
+    row, parts = "%d,%d,%.17g", [(range(1, args.n + 1), x.digits, tr.values)]
+    if a.mode == "exact":  # D_m in lowest terms, a row a part, as its text grows with m
+        rows = enumerate(zip(x.digits, lowest_terms(a, x.digits)), start=1)
+        row, parts = "%d,%d,%s", (([m], [d], [text]) for m, (d, text) in rows)
+    return _table((_header(a), "m,digit,D_m"), row, parts,
                   (f"# ones_count={tr.stats.ones_count} ratio={tr.stats.ratio} "
                    f"gamma_estimate={tr.stats.gamma_estimate} "
                    f"max_abs={tr.max_abs:.17g} diverged={tr.diverged}",))

@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
@@ -124,18 +125,24 @@ def _float_abs(num: int, den: int) -> float:
     return math.inf if f == sys.float_info.max and abs(num) > int(f) * den else f
 
 
-def lowest_terms(tr: DerivativeTrace) -> tuple[list, list]:
-    """The numerators and denominators of an exact trace's D_m = N_m / b^m in lowest terms.
-
-    A slope (3/g)*p or (3/g)*(q-2p) shares no odd prime with b = q/g, as gcd(p, q) = 1, so
-    one shift by the 2s N_m and b^m share reduces a row (0/1 at a = 1/2, where b = 2)."""
-    b = tr.base
-    e = (b & -b).bit_length() - 1  # b = 2^e * odd, and dens starts as the odd^m
-    nums, dens = list(tr.values), list(accumulate(repeat(b >> e, len(tr.values)), operator.mul))
-    for m, v in enumerate(nums if e else (), start=1):
-        s = min((v & -v).bit_length() - 1, e * m) if v else e * m  # the 2s they share
-        nums[m - 1], dens[m - 1] = v >> s, dens[m - 1] << e * m - s
-    return nums, dens
+def lowest_terms(a: Parameter, digits):
+    """Yields each D_m = N_m / b^m of derivative_trace at a = p/q as the text p/q in lowest terms:
+    a slope (3/g)*p or (3/g)*(q-2p) shares no odd prime with b = q/g, as gcd(p, q) = 1, so
+    each row is the last times a slope over b, less the 2s they share (0/1 at a = 1/2), made
+    in decimal, whose text takes time linear in its digits."""
+    q, _, mults, *_ = a._series
+    b, slopes = q // math.gcd(3, q), tuple(3 // math.gcd(3, q) * m for m in mults)
+    e, ctx = (b & -b).bit_length() - 1, Context(prec=MAX_PREC, Emax=MAX_EMAX)  # b = 2^e * odd
+    steps, b = [(Decimal(s), (s & -s).bit_length() - 1) for s in slopes], Decimal(b)
+    num, den, t = Decimal(1), Decimal(1), 0  # t = v2(N_m) - e*m: 2^|t| is left on one side
+    for f, v in map(steps.__getitem__, digits):
+        if num and f:
+            two = ctx.power(2, min(max(t, 0) + v, max(-t, 0) + e))
+            num, den, t = (ctx.divide_int(ctx.multiply(num, f), two),
+                           ctx.divide_int(ctx.multiply(den, b), two), t + v - e)
+        else:  # 3 - 6a = 0 at a = 1/2, and D_m = 0 from there on
+            num, den = Decimal(0), Decimal(1)
+        yield f"{num}/{den}"
 
 
 def generic_rate(a: Parameter, gamma: float) -> float:

@@ -224,6 +224,28 @@ def test_iterate_peaks_near_construction(tmp_path, monkeypatch, av, level, fmt):
     assert peaks[1] <= peaks[0] + (run * 3**depth + 1) * vertex_bytes(Parameter.parse(av), level)
 
 
+def test_exact_derivative_peaks_at_its_trace_and_a_few_rows(tmp_path):
+    # rows are made and written one at a time, so the command holds the trace and little
+    # else: 1.85 MB against the trace's 1.82 MB, about 6 rows of 4.5 KB above it.  With
+    # every row held as integers and a slice of 4096 rows formatted whole, it took 16.8 MB.
+    from okamoto.differentiability import derivative_trace
+    from okamoto.ternary import to_ternary
+
+    path = tmp_path / "f"
+    argv = ["derivative", "--a", "3/5", "--x", "1/7", "--n", "3000", "--out", str(path)]
+    assert main(argv) == 0  # the modules load untraced
+    x = to_ternary(Fraction(1, 7), 3000)
+    peaks = []
+    for call in (lambda: derivative_trace(Parameter(Fraction(3, 5)), x, 3000), lambda: main(argv)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * max(map(len, path.read_bytes().splitlines()))
+
+
 def test_write_releases_each_piece_before_the_next_is_made(tmp_path):
     class Piece(str):  # a str that takes a weak reference
         pass
@@ -389,27 +411,24 @@ def test_size_limits_exit_with_one_line(capsys):
     assert time.perf_counter() - start < 1
 
 
-def test_exact_derivative_refuses_a_slice_whose_text_is_over_budget(capsys, monkeypatch):
-    # at 3/5, x = 0 and n = 3000 the trace is sized at 2.8 MB and its one slice at 7.5 MB
-    # of text: D_m = 9^m / 5^m, so row m holds about 1.65 m digits
+def test_exact_derivative_streams_its_text_past_the_budget_a_row_at_a_time(capsys, monkeypatch):
+    # at 3/5, x = 0 and n = 3000 the trace is sized at 2.8 MB and the rows make 7.5 MB of
+    # text: D_m = 9^m / 5^m, so row m holds about 1.65 m digits.  Only the trace is held
+    # whole, so only the trace is refused, and the text streams under any slice size.
     argv = ["derivative", "--a", "3/5", "--x", "0", "--n", "3000"]
-    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 6 * 2**20)
+    digest = "00061578d2cee6374235ef2ba97a65287c5af70aca699b0aae4b3530b9f70426"
+    for budget, size in ((6, 4096), (6, 1000), (5, 1500), (5, 1), (3, 4096)):
+        monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", budget * 2**20)
+        monkeypatch.setattr(okamoto.cli, "_SLICE", size)
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(out)) == (0, "", 7470967), (budget, size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (budget, size)
+    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 2 * 2**20)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("okamoto: error: the text of 3000 trace rows needs over 6 MiB")
+    assert err.startswith("okamoto: error: a trace of 3000 values needs over 2 MiB")
     assert err.count("\n") == 1
     assert run(capsys, "derivative", "--a", "0.6", "--x", "1/7", "--n", "3000")[0] == 0  # float
-    monkeypatch.setattr(okamoto.cli, "_SLICE", 1000)  # the last slice, rows 2001-3000: 4.2 MB
-    assert run(capsys, *argv)[0] == 0
-    # slices of 1500 rows: 1.9 MB, then 5.6 MB, against a budget of 5 MiB
-    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 5 * 2**20)
-    monkeypatch.setattr(okamoto.cli, "_SLICE", 1500)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("okamoto: error: the text of 1500 trace rows needs over 5 MiB")
-    monkeypatch.setattr(okamoto.errors, "CONSTRUCTION_BUDGET", 8 * 2**20)
-    monkeypatch.setattr(okamoto.cli, "_SLICE", 4096)
-    assert run(capsys, *argv)[0] == 0
 
 
 _JUNK = st.text(max_size=8)
@@ -667,18 +686,18 @@ def test_output_does_not_depend_on_the_slice_size(capsys, monkeypatch, command):
 
 # Each printf row template of cli.py, the str.format row it replaced, and the
 # kinds of values in its columns: f float, i int, q a Fraction, which the
-# printf row takes as two columns, numerator and denominator
+# printf row takes as the text p/q of two Decimals, as lowest_terms makes it
 _TEMPLATES = [
     ("%.8g,%.8g", "{:.8g},{:.8g}", "ff"),
     ("%.17g,%.17g", "{:.17g},{:.17g}", "ff"),
     ("%d/%d,%d/%d", "{}/{},{}/{}", "iiii"),
     ("%d,%.17g,%.17g,%.17g,%.17g,%.17g", "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}", "ifffff"),
     ("%d,%.17g,%.17g,%.17g", "{},{:.17g},{:.17g},{:.17g}", "ifff"),
-    ("%d,%d,%d/%d", "{0},{1},{2.numerator}/{2.denominator}", "iiq"),
+    ("%d,%d,%s", "{0},{1},{2.numerator}/{2.denominator}", "iiq"),
     ("%d,%d,%.17g", "{0},{1},{2:.17g}", "iif"),
     ("%.17g,%.17g,%d", "{:.17g},{:.17g},{}", "ffi"),
 ]
-_FIELD = r"%[.\d]*[dg]"
+_FIELD = r"%[.\d]*[dgs]"
 _INTS = st.one_of(st.integers(), st.builds(lambda d, s: s * (10**d + 7), st.integers(4300, 4400),
                                            st.sampled_from((-1, 1))))  # past 4300 digits
 _UNIT = st.floats(1e-4, 1, exclude_max=True)  # where the byte path makes the 17 digits
@@ -708,7 +727,7 @@ def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
         cols[2] = range(start, start + n)
     arrays = data.draw(st.booleans(), "float columns as float64 arrays")  # as numpy gives them
     printf_cols = [c for k, col in zip(kinds, cols)
-                   for c in ([[q.numerator for q in col], [q.denominator for q in col]]
+                   for c in ([[f"{Decimal(q.numerator)}/{Decimal(q.denominator)}" for q in col]]
                              if k == "q" else [np.array(col, float) if k == "f" and arrays
                                                else col])]
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
@@ -723,7 +742,8 @@ def test_printf_rows_match_the_str_format_rows(row, old, kinds, data):
 
 
 def test_printf_integer_fields_get_ints(capsys, monkeypatch):
-    # %d prints True as 1 and truncates 1.5 to 1, where {} printed True and 1.5
+    # %d prints True as 1 and truncates 1.5 to 1, where {} printed True and 1.5, and
+    # %s prints any value
     table, seen = okamoto.cli._table, set()
 
     def spy(head, row, parts, tail=()):
@@ -731,9 +751,10 @@ def test_printf_integer_fields_get_ints(capsys, monkeypatch):
         for cols in parts:
             assert len(fields) == len(cols)
             for field, col in zip(fields, cols):
-                if field == "%d":
+                if field in ("%d", "%s"):  # %s takes text as it is
                     values = col.tolist() if hasattr(col, "tolist") else list(col)
-                    assert values and all(type(v) is int for v in values), (row, values[:3])
+                    kind = int if field == "%d" else str
+                    assert values and all(type(v) is kind for v in values), (row, values[:3])
         seen.add(row)
         return table(head, row, parts, tail)
 

@@ -1,13 +1,16 @@
+import contextlib
+import functools
 import math
 import random
 import sys
 import time
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okamoto import (
@@ -86,6 +89,36 @@ def _slope_products(tr):
     return [Fraction(v, tr.base**m) for m, v in enumerate(tr.values, start=1)]
 
 
+_CTX = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+_two_to = functools.cache(lambda w: _CTX.power(2, w))
+
+
+def _decimal(n):
+    """n as a Decimal, by halves of its bits: 3.11's int -> str is quadratic in the digits."""
+    if n.bit_length() <= 2048:
+        return Decimal(n)
+    w = 1 << (n.bit_length() - 1).bit_length() - 1  # a power of 2, so few powers are made
+    return _CTX.add(_CTX.multiply(_decimal(n >> w), _two_to(w)), _decimal(n & (1 << w) - 1))
+
+
+def _rows(values):
+    """Each Fraction as the text p/q that "%d/%d" prints with no int string limit."""
+    return [f"{_decimal(v.numerator)}/{_decimal(v.denominator)}" for v in values]
+
+
+@contextlib.contextmanager
+def _ints_in_full():
+    """Ints print in full, however many digits they have, as in cli.main."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _assert_trace_matches_reference(av, digits, n):
     tr = derivative_trace(Parameter(av), TernaryExpansion(tuple(digits)), n)
     values, diverged, max_abs = derivative_trace_reference(av, digits, n)
@@ -95,8 +128,9 @@ def _assert_trace_matches_reference(av, digits, n):
         return (Fraction, v) if type(v) is Fraction else repr(v)
 
     assert list(map(key, _slope_products(tr))) == list(map(key, values))
-    if type(av) is Fraction:  # the rows `derivative` prints
-        assert lowest_terms(tr) == ([v.numerator for v in values], [v.denominator for v in values])
+    if type(av) is Fraction:  # the text of the rows `derivative` prints
+        rows = lowest_terms(Parameter(av), tuple(digits)[:n])
+        assert list(rows) == _rows(values)
     assert (tr.diverged, repr(tr.max_abs)) == (diverged, repr(max_abs))
     return tr
 
@@ -140,6 +174,24 @@ def test_exact_trace_matches_reference_where_q_shares_a_factor_with_the_slopes(a
     rng = random.Random(7)
     digits = [rng.randrange(3) for _ in range(300)]
     _assert_trace_matches_reference(av, digits, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 10**6), q=st.integers(2, 10**6),
+       digits=st.lists(st.integers(0, 2), min_size=1, max_size=120))
+@example(p=1, q=2, digits=[0, 1, 2, 1, 0])  # the slope 0: 0/1 from the first 1 on
+@example(p=1, q=3, digits=[0, 1, 2] * 5)  # b = 1
+@example(p=2, q=3, digits=[1, 1, 0, 2] * 5)  # b = 1, slopes 6 and -3
+@example(p=5, q=12, digits=[0, 1, 2] * 20)  # b = 4: 2s on both sides of the row
+@example(p=7, q=18, digits=[1, 0] * 30)  # 3 | q and q even
+@example(p=999, q=1000, digits=[1] * 30 + [0] * 30)  # a negative slope, 2^3 in b
+@example(p=1, q=2**1074, digits=[0, 1, 2] * 20)  # Fraction(5e-324)
+def test_lowest_terms_rows_are_the_printf_rows_of_the_reference(p, q, digits):
+    av = Fraction(p % q or 1, q)
+    values, _, _ = derivative_trace_reference(av, digits, len(digits))
+    rows = list(lowest_terms(Parameter(av), digits))
+    with _ints_in_full():
+        assert rows == ["%d/%d" % (v.numerator, v.denominator) for v in values] == _rows(values)
 
 
 def test_exact_trace_sizes_values_that_round_to_the_largest_float():

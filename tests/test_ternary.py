@@ -37,6 +37,13 @@ def test_to_ternary_rejects_outside_unit_interval():
         to_ternary(0.5, 0)
 
 
+@pytest.mark.xfail(strict=True, reason="1.0 in (0, 1, 2), so float digits pass (ROADMAP item 4)")
+def test_ternary_expansion_rejects_float_digits():
+    # eval_digit_series and derivative_trace index by digit, and raise a foreign TypeError
+    with pytest.raises(DomainError):
+        TernaryExpansion((1.0, 2.0))
+
+
 def test_to_ternary_prefix_error_bound():
     # |x - sum d_p 3^-p| <= 3^-n for assorted x and n
     rng = random.Random(42)
