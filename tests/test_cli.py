@@ -226,24 +226,25 @@ def test_iterate_peaks_near_construction(tmp_path, monkeypatch, av, level, fmt):
 
 def test_exact_derivative_peaks_at_its_trace_and_a_few_rows(tmp_path):
     # rows are made and written one at a time, so the command holds the trace and little
-    # else: 1.85 MB against the trace's 1.82 MB, about 6 rows of 4.5 KB above it.  With
-    # every row held as integers and a slice of 4096 rows formatted whole, it took 16.8 MB.
+    # else: it peaked 0.4 KB above the 1.85 MB of x's digits and the trace, whose largest
+    # row is 4.5 KB.  With every row held as integers and a slice of 4096 rows formatted
+    # whole, it took 16.8 MB.
     from okamoto.differentiability import derivative_trace
     from okamoto.ternary import to_ternary
 
     path = tmp_path / "f"
     argv = ["derivative", "--a", "3/5", "--x", "1/7", "--n", "3000", "--out", str(path)]
     assert main(argv) == 0  # the modules load untraced
-    x = to_ternary(Fraction(1, 7), 3000)
+    a, x = Parameter(Fraction(3, 5)), Fraction(1, 7)
     peaks = []
-    for call in (lambda: derivative_trace(Parameter(Fraction(3, 5)), x, 3000), lambda: main(argv)):
+    for call in (lambda: derivative_trace(a, to_ternary(x, 3000), 3000), lambda: main(argv)):
         tracemalloc.start()
         try:
             call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 8 * max(map(len, path.read_bytes().splitlines()))
+    assert peaks[1] <= peaks[0] + 4 * max(map(len, path.read_bytes().splitlines()))
 
 
 def test_write_releases_each_piece_before_the_next_is_made(tmp_path):
